@@ -19,7 +19,6 @@ from .ring import (
     Arrow,
     Configuration,
     Hole,
-    RingSpec,
     Segment,
     View,
     canonical_form,
@@ -45,5 +44,4 @@ from .verify import (
     count_tower_classes,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

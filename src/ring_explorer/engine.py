@@ -9,16 +9,22 @@ so that schedulers can be fair to individual robots and traces are replayable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import protocol as default_protocol
 from .ring import Configuration, as_config, format_config, has_tower, occupied_nodes, parse_config
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
+# One robot's positive-probability outcomes at a node: (destination or None, label).
+OptionsFn = Callable[[int], list[tuple[Optional[int], object]]]
+# (activation, outcomes, successor); see ``successors``.
+Branch = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, Optional[int], object], ...],
+               Configuration]
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -103,10 +109,6 @@ class SchedulerPolicy:
         if t >= len(self.script):
             return None
         return tuple(self.script[t])
-
-
-def policy_from_name(name: str) -> SchedulerPolicy:
-    return SchedulerPolicy(name)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +208,54 @@ def trace_configurations(header: dict, steps: list[dict]) -> list[Configuration]
 
 
 # ---------------------------------------------------------------------------
+# Successor relation
+# ---------------------------------------------------------------------------
+
+def decision_outcomes(n: int, node: int, d: "default_protocol.Decision") -> list[Optional[int]]:
+    """Every positive-probability landing spot of one robot on ``node`` that
+    decided ``d``: None (it stays: idle, or a lost coin), then each node it
+    may move to (its target, or both neighbours when an adversary picks)."""
+    if d.kind == default_protocol.IDLE:
+        return [None]
+    targets = [(node - 1) % n, (node + 1) % n] if d.adversary else [d.target]
+    return targets if d.kind == default_protocol.MOVE else [None] + targets
+
+
+def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -> Iterator[Branch]:
+    """Every positive-probability branch of one activation from ``c``.
+
+    Robots on one node are anonymous, so an activation is a robot count per
+    occupied node (a single robot when ``sequential``) and the outcomes at a
+    node form a multiset over ``options(node)``.  Yields ``(activation,
+    outcomes, successor)``: ``((node, count), ...)`` in node order, one
+    ``(node, destination or None, label)`` per activated robot, and the
+    configuration after every move lands.  Activation counts are enumerated
+    per node in node order, then each node's outcome multiset; certificate
+    search order depends on this.
+    """
+    occupied = [v for v, m in enumerate(c) if m]
+    choices = {v: options(v) for v in occupied}
+    for counts in itertools.product(*(range(c[v] + 1) for v in occupied)):
+        total = sum(counts)
+        if total == 0 or (sequential and total != 1):
+            continue
+        activation = tuple((v, a) for v, a in zip(occupied, counts) if a)
+        per_node = [
+            [tuple((v, dest, label) for dest, label in pick)
+             for pick in itertools.combinations_with_replacement(choices[v], a)]
+            for v, a in activation
+        ]
+        for chosen in itertools.product(*per_node):
+            outcomes = tuple(itertools.chain.from_iterable(chosen))
+            succ = list(c)
+            for v, dest, _ in outcomes:
+                if dest is not None:
+                    succ[v] -= 1
+                    succ[dest] += 1
+            yield activation, outcomes, tuple(succ)
+
+
+# ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
@@ -254,24 +304,24 @@ class Simulation:
         for r in acts:
             node = self.positions[r]
             decision = self.decide(before, node)
-            if decision.kind == default_protocol.IDLE:
+            outcomes = decision_outcomes(self.n, node, decision)
+            targets = outcomes[1:] if outcomes[0] is None else outcomes
+            if not targets:
                 continue
-            if decision.kind == default_protocol.TRY_MOVE:
+            if len(targets) < len(outcomes):  # staying put is possible: a fair coin decides
                 win = self.rng.random() < 0.5
                 coins[r] = win
                 if not win:
                     continue
-            if decision.adversary:
-                options = ((node - 1) % self.n, (node + 1) % self.n)
+            if len(targets) == 2:  # either edge: the adversary picks
+                options = tuple(targets)
                 choice = self.adversary(r, before, options)
                 if choice not in options:
                     raise ValueError(f"adversary returned {choice}, not an incident edge")
                 adversary_edges[r] = choice
-                target = choice
+                moves[r] = choice
             else:
-                target = decision.target
-                assert target is not None
-            moves[r] = target
+                moves[r] = targets[0]
         for r, target in moves.items():
             self.positions[r] = target
         after = self.configuration()
@@ -281,9 +331,8 @@ class Simulation:
         return record
 
 
-def is_terminal(c: Sequence[int], decide: DecideFn = default_protocol.decide) -> bool:
+def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) -> bool:
     """No robot moves with positive probability: every decision is idle."""
-    c = as_config(c)
     return all(not decide(c, i).moves for i in occupied_nodes(c))
 
 
@@ -315,12 +364,12 @@ def run(
     ``require_towerless`` enforces the problem's initial condition; pass False
     to replay from a mid-run snapshot such as an arrow.
     """
-    c = as_config(initial)
-    if require_towerless and has_tower(c):
-        raise ValueError("initial configuration must be towerless")
     if rng is None:
         rng = random.Random(seed)
-    sim = Simulation(c, decide, rng, adversary)
+    sim = Simulation(initial, decide, rng, adversary)
+    c = sim.configuration()
+    if require_towerless and has_tower(c):
+        raise ValueError("initial configuration must be towerless")
     steps: list[StepRecord] = []
     terminated = False
     while True:

@@ -21,12 +21,10 @@ from typing import Optional
 from .ring import (
     Configuration,
     Hole,
-    as_config,
     canonical_direction,
     find_arrow,
     has_tower,
     holes,
-    is_final_arrow,
     segments,
 )
 
@@ -80,29 +78,44 @@ def has_four_segment(c: Configuration) -> bool:
     return any(s.length == 4 for s in segments(c))
 
 
-def decide(c, i: int) -> Decision:
-    """Top-level dispatch on the snapshot shape.
+def phase(c: Configuration) -> str:
+    """The protocol regime a snapshot is in.
 
-    Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
-    formation rule, an arrow to the tail walk, anything else to the gathering
-    rules (which reject towers: those snapshots are unreachable).
+    ``"final"`` (the terminal arrow), ``"arrow"`` (any other arrow),
+    ``"four-segment"`` (towerless, four adjacent robots), ``"scatter"`` (any
+    other towerless snapshot), or ``"invalid"`` (a tower outside an arrow).
     """
-    return _decide(as_config(c), i)
+    arrow = find_arrow(c)
+    if arrow is not None:
+        return "final" if arrow.size == len(c) - 3 else "arrow"
+    if has_tower(c):
+        return "invalid"
+    return "four-segment" if has_four_segment(c) else "scatter"
 
 
 @lru_cache(maxsize=1 << 16)
-def _decide(c: Configuration, i: int) -> Decision:
+def decide(c: Configuration, i: int) -> Decision:
+    """Top-level dispatch on the snapshot's phase.
+
+    Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
+    formation rule, an arrow to the tail walk, a scatter to the gathering
+    rules.  A tower outside an arrow is rejected: those snapshots are
+    unreachable.
+    """
     n = len(c)
     if n <= 8 or sum(c) != 4:
         raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
     if c[i] < 1:
         raise ValueError(f"node {i} is not occupied")
-    if is_final_arrow(c):
+    kind = phase(c)
+    if kind == "final":
         return idle()
-    if has_four_segment(c):
+    if kind == "four-segment":
         return phase2_decide(c, i)
-    if find_arrow(c) is not None:
+    if kind == "arrow":
         return phase3_decide(c, i)
+    if kind == "invalid":
+        raise ProtocolError("unsupported configuration: tower without an arrow")
     return phase1_decide(c, i)
 
 
@@ -118,7 +131,7 @@ def _holes_by_neighbor(hole_list: tuple[Hole, ...]) -> dict[int, list[Hole]]:
     return out
 
 
-def phase1_decide(c, i: int) -> Decision:
+def phase1_decide(c: Configuration, i: int) -> Decision:
     """Gathering rules, by segment-length multiset.
 
     {3,1}: the isolated robot heads for the block through its shorter hole.
@@ -128,7 +141,6 @@ def phase1_decide(c, i: int) -> Decision:
     (all four / exactly three / exactly two), so that simultaneous moves can
     never land two robots on one node.
     """
-    c = as_config(c)
     if has_tower(c):
         raise ProtocolError("unsupported configuration: tower without an arrow")
     segs = segments(c)
@@ -201,10 +213,9 @@ def phase1_decide(c, i: int) -> Decision:
 # Tower formation (4-segment)
 # ---------------------------------------------------------------------------
 
-def phase2_decide(c, i: int) -> Decision:
+def phase2_decide(c: Configuration, i: int) -> Decision:
     """The two inner robots of the 4-segment each try to move onto the other;
     a lone success forms the two-robot tower, a double success is a swap."""
-    c = as_config(c)
     n = len(c)
     seg = next(s for s in segments(c) if s.length == 4)
     inner = ((seg.start + 1) % n, (seg.start + 2) % n)
@@ -219,10 +230,9 @@ def phase2_decide(c, i: int) -> Decision:
 # Tail walk (non-final arrow)
 # ---------------------------------------------------------------------------
 
-def phase3_decide(c, i: int) -> Decision:
+def phase3_decide(c: Configuration, i: int) -> Decision:
     """Only the arrow tail moves: one step into the hole that separates it
     from the head, growing the arrow by one.  Fully deterministic."""
-    c = as_config(c)
     arrow = find_arrow(c)
     if arrow is None:
         raise ProtocolError("unsupported configuration: no arrow present")

@@ -1,9 +1,14 @@
 """Value-level model of robot configurations on an anonymous, unoriented ring.
 
-A configuration is the tuple of robot multiplicities per node.  Node indices
-are bookkeeping only: two configurations are the same situation whenever one
-is a rotation of the other or of its reversal, and every externally
-meaningful comparison goes through ``canonical_form``.
+A configuration is a ``Configuration``: the tuple of robot multiplicities per
+node.  Node indices are bookkeeping only: two configurations are the same
+situation whenever one is a rotation of the other or of its reversal, and
+every externally meaningful comparison goes through ``canonical_form``.
+
+Input from outside the package is validated once, by ``as_config`` (any
+sequence of integers) or ``parse_config`` (the comma-separated text form).
+Every other function here takes a ``Configuration`` tuple as it is and does
+not re-check it; the structural queries are cached on that tuple.
 """
 
 from __future__ import annotations
@@ -15,20 +20,6 @@ from typing import Iterable, Optional, Sequence
 Configuration = tuple[int, ...]
 
 _CACHE_SIZE = 1 << 16
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """Ring size and robot count."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"ring needs at least 3 nodes, got n={self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"robot count must satisfy 1 <= k <= n, got k={self.k}")
 
 
 def as_config(values: Sequence[int] | Iterable[int]) -> Configuration:
@@ -50,19 +41,15 @@ def format_config(c: Sequence[int]) -> str:
     return ",".join(str(v) for v in c)
 
 
-def robot_count(c: Sequence[int]) -> int:
-    return sum(c)
-
-
-def occupied_nodes(c: Sequence[int]) -> tuple[int, ...]:
+def occupied_nodes(c: Configuration) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(c) if v > 0)
 
 
-def is_towerless(c: Sequence[int]) -> bool:
+def is_towerless(c: Configuration) -> bool:
     return all(v <= 1 for v in c)
 
 
-def has_tower(c: Sequence[int]) -> bool:
+def has_tower(c: Configuration) -> bool:
     return any(v >= 2 for v in c)
 
 
@@ -70,25 +57,21 @@ def has_tower(c: Sequence[int]) -> bool:
 # Symmetries
 # ---------------------------------------------------------------------------
 
-def rotate(c: Sequence[int], i: int) -> Configuration:
+def rotate(c: Configuration, i: int) -> Configuration:
     """Rotation: node j of the result reads node j+i of the input."""
-    c = as_config(c)
     n = len(c)
     i %= n
     return c[i:] + c[:i]
 
 
-def mirror(c: Sequence[int]) -> Configuration:
+def mirror(c: Configuration) -> Configuration:
     """Reversal about node 0; an involution."""
-    c = as_config(c)
     n = len(c)
     return tuple(c[(n - j) % n] for j in range(n))
 
 
-def indistinguishable(a: Sequence[int], b: Sequence[int]) -> bool:
+def indistinguishable(a: Configuration, b: Configuration) -> bool:
     """True iff b is a rotation of a or of a's mirror."""
-    a = as_config(a)
-    b = as_config(b)
     if len(a) != len(b):
         raise ValueError("incompatible rings")
     if sum(a) != sum(b):
@@ -96,17 +79,13 @@ def indistinguishable(a: Sequence[int], b: Sequence[int]) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def canonical_form(c: Sequence[int]) -> Configuration:
+@lru_cache(maxsize=_CACHE_SIZE)
+def canonical_form(c: Configuration) -> Configuration:
     """Lexicographically smallest rotation of c or of its mirror.
 
     Equal canonical forms characterize indistinguishability, so this is the
     representative to key sets and maps by.
     """
-    return _canonical_form(as_config(c))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _canonical_form(c: Configuration) -> Configuration:
     n = len(c)
     m = mirror(c)
     return min(min(rotate(c, i) for i in range(n)), min(rotate(m, i) for i in range(n)))
@@ -132,8 +111,7 @@ class View:
         return tuple(sorted((self.forward, self.backward)))  # type: ignore[return-value]
 
 
-def view_of(c: Sequence[int], i: int) -> View:
-    c = as_config(c)
+def view_of(c: Configuration, i: int) -> View:
     n = len(c)
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range for n={n}")
@@ -142,7 +120,7 @@ def view_of(c: Sequence[int], i: int) -> View:
     return View(forward, backward)
 
 
-def canonical_direction(c: Sequence[int], i: int) -> Optional[int]:
+def canonical_direction(c: Configuration, i: int) -> Optional[int]:
     """Direction (+1/-1) whose reading from node i is lexicographically smaller.
 
     None when the view is symmetric.  Because the rule only looks at the view,
@@ -210,13 +188,9 @@ def _maximal_runs(c: Configuration, occupied: bool) -> tuple[tuple[int, int], ..
     return tuple(runs)
 
 
-def segments(c: Sequence[int]) -> tuple[Segment, ...]:
-    """All maximal occupied runs, in ring order from an arbitrary anchor."""
-    return _segments(as_config(c))
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _segments(c: Configuration) -> tuple[Segment, ...]:
+def segments(c: Configuration) -> tuple[Segment, ...]:
+    """All maximal occupied runs, in ring order from an arbitrary anchor."""
     if all(v == 0 for v in c):
         return ()
     if all(v > 0 for v in c):
@@ -224,13 +198,9 @@ def _segments(c: Configuration) -> tuple[Segment, ...]:
     return tuple(Segment(s, l) for s, l in _maximal_runs(c, occupied=True))
 
 
-def holes(c: Sequence[int]) -> tuple[Hole, ...]:
-    """All maximal free runs; each carries its end nodes and occupied neighbors."""
-    return _holes(as_config(c))
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _holes(c: Configuration) -> tuple[Hole, ...]:
+def holes(c: Configuration) -> tuple[Hole, ...]:
+    """All maximal free runs; each carries its end nodes and occupied neighbors."""
     if all(v == 0 for v in c):
         raise ValueError("no occupied node")
     if all(v > 0 for v in c):
@@ -262,18 +232,14 @@ class Arrow:
         return tuple((self.tail + j * self.orientation) % n for j in range(self.size + 3))
 
 
-def find_arrow(c: Sequence[int]) -> Optional[Arrow]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def find_arrow(c: Configuration) -> Optional[Arrow]:
     """The unique arrow of the configuration, or None.
 
     Requires exactly one node of multiplicity 2 adjacent to a single robot
     (the head), with at least one free node between the tower and the other
     single robot (the tail).
     """
-    return _find_arrow(as_config(c))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _find_arrow(c: Configuration) -> Optional[Arrow]:
     if sorted(v for v in c if v > 0) != [1, 1, 2]:
         return None
     n = len(c)
@@ -292,9 +258,8 @@ def _find_arrow(c: Configuration) -> Optional[Arrow]:
     return None
 
 
-def is_final_arrow(c: Sequence[int]) -> bool:
+def is_final_arrow(c: Configuration) -> bool:
     """True when the arrow's tail sits adjacent to its head: no hole remains
     between them, i.e. the arrow size is n-3."""
-    c = as_config(c)
-    a = _find_arrow(c)
+    a = find_arrow(c)
     return a is not None and a.size == len(c) - 3

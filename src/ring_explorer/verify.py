@@ -12,19 +12,23 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from math import comb
 from typing import Optional
 
 from . import protocol as default_protocol
 from .engine import (
+    Branch,
     DecideFn,
+    OptionsFn,
     SchedulerPolicy,
     StepRecord,
     Trace,
+    decision_outcomes,
     mrp,
     run,
     sample_towerless,
+    successors,
 )
+from .protocol import Decision, has_four_segment, phase
 from .ring import (
     Configuration,
     canonical_form,
@@ -32,9 +36,7 @@ from .ring import (
     format_config,
     has_tower,
     is_final_arrow,
-    is_towerless,
     occupied_nodes,
-    segments,
 )
 
 PROTOCOL_K = 4
@@ -78,61 +80,44 @@ def _violation_json(v) -> dict:
 # Exhaustive one-step checks
 # ---------------------------------------------------------------------------
 
-def _resolution_options(c: Configuration, node: int, decide: DecideFn) -> list[Optional[int]]:
-    """All positive-probability outcomes for one activated robot: None = stays,
-    otherwise the node it moves to."""
-    n = len(c)
-    d = decide(c, node)
-    edges = [(node - 1) % n, (node + 1) % n]
-    if d.kind == default_protocol.IDLE:
-        return [None]
-    targets = edges if d.adversary else [d.target]
-    if d.kind == default_protocol.MOVE:
-        return list(targets)
-    return [None] + list(targets)
+def _protocol_options(c: Configuration, decide: DecideFn) -> OptionsFn:
+    """Each robot's outcomes under ``decide``, labelled with its decision."""
+    def options(node: int) -> list[tuple[Optional[int], Decision]]:
+        d = decide(c, node)
+        return [(dest, d) for dest in decision_outcomes(len(c), node, d)]
+    return options
 
 
-def _resolved_record(
-    c: Configuration,
-    robots: tuple[int, ...],
-    activation: tuple[int, ...],
-    resolution: tuple[Optional[int], ...],
-    decide: DecideFn,
-) -> StepRecord:
-    """Materialize one fully resolved branch as a replayable step record."""
-    positions = list(robots)
+def _branch_record(c: Configuration, branch: Branch) -> StepRecord:
+    """Materialize one branch as a replayable step record: robot ids number
+    the robots in node order, and each node's activated robots are its first."""
+    activation, outcomes, after = branch
+    robots = tuple(v for v, m in enumerate(c) for _ in range(m))
+    next_id = {v: robots.index(v) for v, _ in activation}
+    activated = []
     coins: dict[int, bool] = {}
     adversary: dict[int, int] = {}
-    for r, outcome in zip(activation, resolution):
-        node = robots[r]
-        d = decide(c, node)
+    for v, dest, d in outcomes:
+        r = next_id[v]
+        next_id[v] += 1
+        activated.append(r)
         if d.kind == default_protocol.TRY_MOVE:
-            coins[r] = outcome is not None
-        if outcome is not None and d.adversary:
-            adversary[r] = outcome
-        if outcome is not None:
-            positions[r] = outcome
-    counts = [0] * len(c)
-    for p in positions:
-        counts[p] += 1
+            coins[r] = dest is not None
+        if dest is not None and d.adversary:
+            adversary[r] = dest
     return StepRecord(
         t=0,
-        activated=activation,
+        activated=tuple(activated),
         positions_before=robots,
         before=c,
-        after=tuple(counts),
+        after=after,
         coins=coins,
         adversary_edges=adversary,
     )
 
 
-def _iter_resolutions(option_lists: list[list[Optional[int]]]):
-    if not option_lists:
-        yield ()
-        return
-    for head in option_lists[0]:
-        for rest in _iter_resolutions(option_lists[1:]):
-            yield (head,) + rest
+def _towerless(n: int, nodes: tuple[int, ...]) -> Configuration:
+    return tuple(1 if i in nodes else 0 for i in range(n))
 
 
 def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
@@ -145,24 +130,14 @@ def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) 
     base = skipped = 0
     for nodes in combinations(range(n), PROTOCOL_K):
         base += 1
-        c = tuple(1 if i in nodes else 0 for i in range(n))
-        if any(s.length == 4 for s in segments(c)):
+        c = _towerless(n, nodes)
+        if has_four_segment(c):
             skipped += 1
             continue
-        options = {node: _resolution_options(c, node, decide) for node in nodes}
-        for size in range(1, PROTOCOL_K + 1):
-            for subset in combinations(range(PROTOCOL_K), size):
-                lists = [options[nodes[r]] for r in subset]
-                for resolution in _iter_resolutions(lists):
-                    report.instances_checked += 1
-                    landed = list(nodes)
-                    for r, outcome in zip(subset, resolution):
-                        if outcome is not None:
-                            landed[r] = outcome
-                    if len(set(landed)) != PROTOCOL_K:
-                        report.violations.append(
-                            _resolved_record(c, nodes, subset, resolution, decide)
-                        )
+        for branch in successors(c, _protocol_options(c, decide)):
+            report.instances_checked += 1
+            if has_tower(branch[2]):
+                report.violations.append(_branch_record(c, branch))
     report.details = {
         "n": n,
         "base_configurations": base,
@@ -181,26 +156,15 @@ def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) 
     report = CheckReport(claim="four-segment-successors")
     for start in range(n):
         nodes = tuple((start + j) % n for j in range(4))
-        c = tuple(1 if i in nodes else 0 for i in range(n))
-        robots = tuple(sorted(nodes))
-        segment_set = set(nodes)
-        options = {node: _resolution_options(c, node, decide) for node in robots}
-        for size in range(1, PROTOCOL_K + 1):
-            for subset in combinations(range(PROTOCOL_K), size):
-                lists = [options[robots[r]] for r in subset]
-                for resolution in _iter_resolutions(lists):
-                    report.instances_checked += 1
-                    record = _resolved_record(c, robots, subset, resolution, decide)
-                    ok = record.after == c
-                    if not ok:
-                        arrow = find_arrow(record.after)
-                        ok = (
-                            arrow is not None
-                            and arrow.size == 1
-                            and set(arrow.path_nodes(n)) == segment_set
-                        )
-                    if not ok:
-                        report.violations.append(record)
+        c = _towerless(n, nodes)
+        for branch in successors(c, _protocol_options(c, decide)):
+            report.instances_checked += 1
+            after = branch[2]
+            if after == c:
+                continue
+            arrow = find_arrow(after)
+            if arrow is None or arrow.size != 1 or set(arrow.path_nodes(n)) != set(nodes):
+                report.violations.append(_branch_record(c, branch))
     report.details = {"n": n, "placements": n}
     return report
 
@@ -325,19 +289,6 @@ def count_tower_classes(n: int, k: int = 3) -> int:
 # Run monitoring and campaigns
 # ---------------------------------------------------------------------------
 
-def _classify(c: Configuration) -> tuple[str, object]:
-    if is_final_arrow(c):
-        return ("final", None)
-    arrow = find_arrow(c)
-    if arrow is not None:
-        return ("arrow", arrow.size)
-    if is_towerless(c):
-        if any(s.length == 4 for s in segments(c)):
-            return ("four-segment", None)
-        return ("scatter", None)
-    return ("invalid", None)
-
-
 _ALLOWED = {
     "scatter": {"scatter", "four-segment"},
     "four-segment": {"four-segment", "arrow"},
@@ -351,11 +302,12 @@ def check_run_invariants(trace: Trace) -> None:
     towerless until a 4-segment appears, 4-segment steps stay put or form the
     primary arrow, arrows only ever grow by one, and a terminated run ends in
     the terminal arrow shape.  Raises InvariantViolation."""
-    kind, info = _classify(trace.initial)
+    prev = trace.initial
+    kind = phase(prev)
     if kind == "invalid":
         raise InvariantViolation(f"initial configuration invalid: {trace.initial}")
     for step in trace.steps:
-        next_kind, next_info = _classify(step.after)
+        next_kind = phase(step.after)
         if next_kind == "final":
             pass
         elif next_kind not in _ALLOWED[kind]:
@@ -365,13 +317,15 @@ def check_run_invariants(trace: Trace) -> None:
             )
         if kind == "four-segment" and next_kind == "four-segment" and step.after != step.before:
             raise InvariantViolation(f"step {step.t}: 4-segment changed without forming an arrow")
-        if kind == "four-segment" and next_kind == "arrow" and next_info != 1:
+        if kind == "four-segment" and next_kind == "arrow" and find_arrow(step.after).size != 1:
             raise InvariantViolation(f"step {step.t}: 4-segment formed a non-primary arrow")
-        if kind == "arrow" and next_kind == "arrow" and next_info not in (info, info + 1):
-            raise InvariantViolation(f"step {step.t}: arrow size {info} -> {next_info}")
+        if kind == "arrow" and next_kind == "arrow":
+            size, next_size = find_arrow(prev).size, find_arrow(step.after).size
+            if next_size not in (size, size + 1):
+                raise InvariantViolation(f"step {step.t}: arrow size {size} -> {next_size}")
         if next_kind == "final" and kind not in ("arrow", "final"):
             raise InvariantViolation(f"step {step.t}: {kind} jumped straight to final arrow")
-        kind, info = next_kind, next_info
+        prev, kind = step.after, next_kind
     if trace.terminated and kind != "final":
         raise InvariantViolation(f"terminated in non-terminal shape {kind}")
 
@@ -447,18 +401,14 @@ def campaign(
 
 def expected_one_step_instances(n: int, decide: DecideFn = default_protocol.decide) -> int:
     """Independent recount of the no-tower check's instance space via the
-    product formula: per configuration, prod(1 + options per robot) - 1."""
+    product formula: per configuration, prod(1 + outcomes per robot) - 1."""
     total = 0
     for nodes in combinations(range(n), PROTOCOL_K):
-        c = tuple(1 if i in nodes else 0 for i in range(n))
-        if any(s.length == 4 for s in segments(c)):
+        c = _towerless(n, nodes)
+        if has_four_segment(c):
             continue
         product = 1
         for node in nodes:
-            product *= 1 + len(_resolution_options(c, node, decide))
+            product *= 1 + len(decision_outcomes(n, node, decide(c, node)))
         total += product - 1
     return total
-
-
-def towerless_configuration_count(n: int, k: int = PROTOCOL_K) -> int:
-    return comb(n, k)

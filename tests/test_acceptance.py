@@ -5,6 +5,7 @@ measured runtimes.
 """
 
 import itertools
+import json
 import random
 import time
 
@@ -144,6 +145,8 @@ class TestCriterion7ThreeRobotRefutation:
             and seq["unrefuted"] >= 1
             and elapsed < 300.0
         )
+        # The report is the deterministic stdout payload: no timings in it.
+        assert "elapsed" not in json.dumps(report)
         report_line(
             ok,
             "criterion 7 (three-robot refutation)",

@@ -79,3 +79,35 @@ class TestVerify:
             "arrow-growth", "mrp-lower-bounds",
         }
         assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "11", "--initial", "random", "--policy", "sequential-random",
+     "--seed", "5"),
+    ("campaign", "--n", "10", "--trials", "20", "--policy", "round-robin", "--seed", "4"),
+    ("verify", "--n", "9", "--traces", "3", "--seed", "2"),
+    ("count", "--k", "3", "--n", "4", "--n-max", "9"),
+], ids=lambda argv: argv[0])
+def test_stdout_byte_identical_across_runs(capsys, argv):
+    _, first = run_cli(capsys, *argv)
+    _, second = run_cli(capsys, *argv)
+    assert first and first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("campaign", "--trials", "0"),
+    ("campaign", "--max-steps", "-1"),
+    ("count", "--n", "2"),
+    ("count", "--k", "-1"),
+    ("simulate", "--n", "9", "--initial", "2,-1,1,1,1,0,0,0,0"),
+    ("simulate", "--n", "9", "--initial", "1,1,x"),
+    ("verify", "--traces", "-1"),
+], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
+        "initial-negative", "initial-not-int", "traces-negative"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"ring-explorer {argv[0]}: error: argument ")

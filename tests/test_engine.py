@@ -1,11 +1,13 @@
 """Execution semantics: atomic steps, schedulers, adversaries, traces, JSONL."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from ring_explorer import engine
+from ring_explorer import engine, protocol
 from ring_explorer.engine import (
     SchedulerError,
     SchedulerPolicy,
@@ -249,3 +251,51 @@ class TestJsonl:
     def test_missing_header_key(self):
         with pytest.raises(ValueError, match="header"):
             read_trace_jsonl(['{"n": 9}'])
+
+
+def robot_outcomes(c, node):
+    """One robot's positive-probability landing spots, read off its decision."""
+    d = protocol.decide(c, node)
+    edges = [(node - 1) % len(c), (node + 1) % len(c)]
+    if d.kind == protocol.IDLE:
+        return [None]
+    targets = edges if d.adversary else [d.target]
+    return targets if d.kind == protocol.MOVE else [None] + targets
+
+
+def brute_force_branches(c):
+    """Every nonempty robot-id subset, every outcome per activated robot;
+    robot ids number the robots in node order."""
+    robots = [v for v in range(len(c)) if c[v]]
+    out = []
+    for size in range(1, len(robots) + 1):
+        for subset in itertools.combinations(range(len(robots)), size):
+            lists = [robot_outcomes(c, robots[r]) for r in subset]
+            for resolution in itertools.product(*lists):
+                landed = list(robots)
+                for r, dest in zip(subset, resolution):
+                    if dest is not None:
+                        landed[r] = dest
+                after = tuple(landed.count(v) for v in range(len(c)))
+                moves = tuple((robots[r], dest) for r, dest in zip(subset, resolution))
+                out.append((size, moves, after))
+    return out
+
+
+class TestSuccessors:
+    def branches(self, c, sequential=False):
+        def options(node):
+            d = protocol.decide(c, node)
+            return [(dest, d) for dest in engine.decision_outcomes(len(c), node, d)]
+        for activation, outcomes, after in engine.successors(c, options, sequential):
+            assert sum(a for _, a in activation) == len(outcomes)
+            yield len(outcomes), tuple((v, dest) for v, dest, _ in outcomes), after
+
+    def test_matches_per_robot_enumeration(self):
+        n = 9
+        for nodes in itertools.combinations(range(n), 4):
+            c = tuple(1 if i in nodes else 0 for i in range(n))
+            expected = Counter(brute_force_branches(c))
+            assert Counter(self.branches(c)) == expected
+            singles = Counter({b: m for b, m in expected.items() if b[0] == 1})
+            assert Counter(self.branches(c, sequential=True)) == singles

@@ -90,6 +90,18 @@ class TestProtocolEnumeration:
         assert count == 27783
         assert all_idle_seen == 1
 
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_count_chunk_matches_one_by_one(self, classes, mode):
+        lo, hi = 27700, 27783
+        counts = {imp.BAD_TERMINAL: 0, imp.FORCING: 0, imp.UNREFUTED: 0}
+        first = {}
+        tables = list(imp.enumerate_protocols(classes))
+        for idx in range(lo, hi):
+            kind = imp.refute(tables[idx], mode, with_witness=False).kind
+            counts[kind] += 1
+            first.setdefault(kind, idx)
+        assert imp._count_mode(mode, lo, hi) == (counts, first)
+
 
 class TestRefuteKnownProtocols:
     def test_all_idle_is_bad_terminal(self, classes):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ring_explorer import ring
 from ring_explorer.ring import (
     Arrow,
-    RingSpec,
     canonical_direction,
     canonical_form,
     find_arrow,
@@ -30,16 +29,6 @@ def orbit(c):
     n = len(c)
     m = mirror(c)
     return {rotate(c, i) for i in range(n)} | {rotate(m, i) for i in range(n)}
-
-
-class TestRingSpec:
-    def test_valid(self):
-        RingSpec(n=9, k=4)
-
-    @pytest.mark.parametrize("n,k", [(2, 1), (9, 0), (4, 5)])
-    def test_invalid(self, n, k):
-        with pytest.raises(ValueError):
-            RingSpec(n=n, k=k)
 
 
 class TestRotateMirror:
