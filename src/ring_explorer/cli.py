@@ -37,7 +37,7 @@ def _thread_cap() -> Optional[int]:
 
 def _effective_jobs(requested: int) -> int:
     cap = _thread_cap()
-    return max(1, min(requested, cap) if cap is not None else requested)
+    return min(requested, cap) if cap is not None else requested
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impossible", help="three-robot refutation report (n=4, k=3)")
     p.add_argument("--mode", choices=["distributed", "sequential", "both"], default="both")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help=f"worker processes (capped by ${ENV_THREADS})")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_impossible)

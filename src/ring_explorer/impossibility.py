@@ -14,21 +14,23 @@ by either
   forever (the "activate one robot until it moves" repetition trick).
 
 Distributed mode activates arbitrary nonempty robot sets; sequential mode
-activates singletons.  States are (configuration, visited-set) pairs
-quotiented by the joint action of the ring symmetries.
+activates singletons.  States are (configuration, visited-set) pairs.
+Transitions commute with the ring symmetries, so the search expands one
+concrete state per symmetry orbit, and every witness path is a concrete run
+from the initial state: configuration (1, 1, 1, 0) with nodes 0, 1, 2 visited.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from . import protocol as robot_protocol
 from .engine import successors
-from .ring import as_config, canonical_direction, canonical_form, view_of
+from .ring import (as_config, canonical_direction, canonical_form, configurations,
+                   occupied_nodes, view_of)
 
 N = 4
 K = 3
@@ -74,17 +76,9 @@ def view_key(c, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def enumerate_view_classes(n: int = N, k: int = K) -> list[ViewClass]:
     """All views seen from occupied nodes across every k-robot configuration,
     deduplicated as unordered direction pairs."""
-    keys = set()
-    for nodes in itertools.combinations_with_replacement(range(n), k):
-        c = [0] * n
-        for node in nodes:
-            c[node] += 1
-        for i in set(nodes):
-            keys.add(view_key(tuple(c), i))
-    classes = []
-    for index, key in enumerate(sorted(keys)):
-        classes.append(ViewClass(index=index, view=key, symmetric=key[0] == key[1]))
-    return classes
+    keys = {view_key(c, i) for c in configurations(n, k) for i in occupied_nodes(c)}
+    return [ViewClass(index=index, view=key, symmetric=key[0] == key[1])
+            for index, key in enumerate(sorted(keys))]
 
 
 def protocol_space_size(classes: list[ViewClass]) -> int:
@@ -118,6 +112,10 @@ def table_mask(table: ProtocolTable) -> int:
     return tm
 
 
+def _nodes(mask: int) -> list[int]:
+    return [i for i in range(N) if mask >> i & 1]
+
+
 # ---------------------------------------------------------------------------
 # Precomputed transition structure (lazy, protocol-independent)
 # ---------------------------------------------------------------------------
@@ -139,7 +137,8 @@ class _Action:
 
     ``succs`` has two entries when both directions of an asymmetric view are
     in the support (the mover picks; the scheduler must handle both), one
-    entry otherwise (symmetric moves are steered by the adversary).
+    entry otherwise (symmetric moves are steered by the adversary).  The
+    action is valid in a table holding every ``pos`` bit and no ``neg`` bit.
     """
 
     robot: int
@@ -153,97 +152,60 @@ class _Action:
 class _Tables:
     def __init__(self) -> None:
         self.classes = enumerate_view_classes()
-        self.class_by_view = {vc.view: vc.index for vc in self.classes}
+        class_by_view = {vc.view: vc.index for vc in self.classes}
 
-        self.configs: list[tuple[int, ...]] = []
-        self.config_id: dict[tuple[int, ...], int] = {}
-        for nodes in itertools.combinations_with_replacement(range(N), K):
-            c = [0] * N
-            for node in nodes:
-                c[node] += 1
-            c = tuple(c)
-            self.config_id[c] = len(self.configs)
-            self.configs.append(c)
+        self.configs = list(configurations(N, K))
+        self.config_id = {c: cid for cid, c in enumerate(self.configs)}
+        self.canonical_cid = [self.config_id[canonical_form(c)] for c in self.configs]
+        self.occ_mask = [sum(1 << v for v in occupied_nodes(c)) for c in self.configs]
 
-        # Per (config, node): view class, and the concrete forward/backward
-        # edges under the lexicographic orientation rule.
-        self.node_class: dict[tuple[int, int], int] = {}
-        self.node_edges: dict[tuple[int, int], tuple[int, int]] = {}
+        # What one robot on node v of config cid may do, with the element bit
+        # that allows it: idle, then the forward and backward moves under
+        # canonical_direction.  A symmetric view moves to v-1 or v+1 under its
+        # one "move" bit.
+        self.options: dict[tuple[int, int], tuple[tuple[Optional[int], int], ...]] = {}
         for cid, c in enumerate(self.configs):
-            for v in range(N):
-                if c[v] == 0:
-                    continue
-                idx = self.class_by_view[view_key(c, v)]
-                self.node_class[(cid, v)] = idx
+            for v in occupied_nodes(c):
+                base = 3 * class_by_view[view_key(c, v)]
                 direction = canonical_direction(c, v)
-                if direction is None:
-                    self.node_edges[(cid, v)] = ((v - 1) % N, (v + 1) % N)
-                else:
-                    self.node_edges[(cid, v)] = ((v + direction) % N, (v - direction) % N)
+                step = direction or -1
+                back = BACKWARD_BIT if direction else FORWARD_BIT
+                self.options[(cid, v)] = ((None, IDLE_BIT << base),
+                                          ((v + step) % N, FORWARD_BIT << base),
+                                          ((v - step) % N, back << base))
 
-        # Element bits a configuration's occupied nodes could move with.
-        self.movebits: list[int] = []
-        for cid, c in enumerate(self.configs):
-            bits = 0
-            for v in range(N):
-                if c[v]:
-                    idx = self.node_class[(cid, v)]
-                    width = 1 if self.classes[idx].symmetric else 2
-                    bits |= ((FORWARD_BIT | (BACKWARD_BIT if width == 2 else 0))) << (3 * idx)
-            self.movebits.append(bits)
-
-        self.occ_mask = [
-            sum(1 << v for v in range(N) if c[v]) for c in self.configs
-        ]
+        # Element bits that move a robot: per (config, node) and per config.
+        self.node_moves = {key: opts[1][1] | opts[2][1] for key, opts in self.options.items()}
+        self.config_moves = [0] * len(self.configs)
+        for (cid, _), bits in self.node_moves.items():
+            self.config_moves[cid] |= bits
 
         self.combos = {
-            "distributed": [self._combos_for(cid, sequential=False) for cid in range(len(self.configs))],
-            "sequential": [self._combos_for(cid, sequential=True) for cid in range(len(self.configs))],
+            mode: [self._combos_for(cid, mode == "sequential") for cid in range(len(self.configs))]
+            for mode in ("distributed", "sequential")
         }
 
-        self.perms = self._dihedral_perms()
-        self.canon: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-        for cid in range(len(self.configs)):
-            for mask in range(1 << N):
-                self.canon[(cid, mask)] = self._canonicalize(cid, mask)
+        # Orbit key of every (configuration, visited) state under the ring
+        # symmetries: both are read node by node and canonicalised together.
+        self.orbit = {
+            (cid, mask): canonical_form(tuple(2 * c[v] + (mask >> v & 1) for v in range(N)))
+            for cid, c in enumerate(self.configs) for mask in range(1 << N)
+        }
 
-        self.canonical_cid = [
-            self.config_id[canonical_form(c)] for c in self.configs
-        ]
-
+        # Identity states: the node of each robot, for the forcing game.
         self.idstates: list[tuple[int, ...]] = list(itertools.product(range(N), repeat=K))
         self.idstate_id = {s: i for i, s in enumerate(self.idstates)}
-        self.idstate_cid = [self._cid_of_positions(s) for s in self.idstates]
-        self.actions: list[list[_Action]] = [self._actions_for(s) for s in self.idstates]
+        self.idstate_cid = [self.config_id[tuple(s.count(v) for v in range(N))]
+                            for s in self.idstates]
+        self.actions = [self._actions_for(sid) for sid in range(len(self.idstates))]
 
         self.initial_cid = self.config_id[(1, 1, 1, 0)]
         self.initial_mask = 0b0111
 
-    # -- helpers ------------------------------------------------------------
-
-    def _cid_of_positions(self, positions: tuple[int, ...]) -> int:
-        c = [0] * N
-        for p in positions:
-            c[p] += 1
-        return self.config_id[tuple(c)]
-
-    def _node_options(self, cid: int, v: int) -> list[tuple[Optional[int], int]]:
-        idx = self.node_class[(cid, v)]
-        base = 3 * idx
-        fwd, bwd = self.node_edges[(cid, v)]
-        options: list[tuple[Optional[int], int]] = [(None, IDLE_BIT << base)]
-        if self.classes[idx].symmetric:
-            options.append(((v - 1) % N, FORWARD_BIT << base))
-            options.append(((v + 1) % N, FORWARD_BIT << base))
-        else:
-            options.append((fwd, FORWARD_BIT << base))
-            options.append((bwd, BACKWARD_BIT << base))
-        return options
-
     def _combos_for(self, cid: int, sequential: bool) -> list[_Combo]:
         combos: list[_Combo] = []
-        options = partial(self._node_options, cid)
-        for activation, outcomes, succ in successors(self.configs[cid], options, sequential):
+        branches = successors(self.configs[cid], lambda v: self.options[(cid, v)], sequential)
+        for activation, outcomes, succ in branches:
             if all(dest is None for _, dest, _ in outcomes):
                 continue  # no-op branch, irrelevant for reachability
             req = 0
@@ -254,57 +216,23 @@ class _Tables:
                                  tuple((v, dest) for v, dest, _ in outcomes)))
         return combos
 
-    @staticmethod
-    def _dihedral_perms() -> list[tuple[int, ...]]:
-        perms = []
-        for r in range(N):
-            perms.append(tuple((i + r) % N for i in range(N)))
-        for r in range(N):
-            perms.append(tuple((r - i) % N for i in range(N)))
-        return perms
-
-    def _canonicalize(self, cid: int, mask: int) -> tuple[int, int, tuple[int, ...]]:
-        c = self.configs[cid]
-        best = None
-        best_perm = None
-        for p in self.perms:
-            cc = [0] * N
-            for i in range(N):
-                cc[p[i]] = c[i]
-            mm = 0
-            for i in range(N):
-                if mask >> i & 1:
-                    mm |= 1 << p[i]
-            cand = (tuple(cc), mm)
-            if best is None or cand < best:
-                best, best_perm = cand, p
-        return self.config_id[best[0]], best[1], best_perm
-
-    def _actions_for(self, positions: tuple[int, ...]) -> list[_Action]:
-        cid = self._cid_of_positions(positions)
+    def _actions_for(self, sid: int) -> list[_Action]:
+        """Per robot: one action per move option, with the node's other move
+        bits excluded; then, when the two moves have distinct bits, the action
+        whose support holds both and whose mover picks the direction."""
+        positions = self.idstates[sid]
+        cid = self.idstate_cid[sid]
         actions: list[_Action] = []
-        for r in range(K):
-            v = positions[r]
-            idx = self.node_class[(cid, v)]
-            base = 3 * idx
-
+        for r, v in enumerate(positions):
             def moved(dest: int) -> int:
-                succ = list(positions)
-                succ[r] = dest
-                return self.idstate_id[tuple(succ)]
+                return self.idstate_id[positions[:r] + (dest,) + positions[r + 1:]]
 
-            if self.classes[idx].symmetric:
-                for dest in ((v - 1) % N, (v + 1) % N):
-                    actions.append(_Action(r, FORWARD_BIT << base, 0, (v, dest),
-                                           (moved(dest),), ()))
-            else:
-                fwd, bwd = self.node_edges[(cid, v)]
-                actions.append(_Action(r, FORWARD_BIT << base, BACKWARD_BIT << base,
-                                       (v, fwd), (moved(fwd),), ()))
-                actions.append(_Action(r, BACKWARD_BIT << base, FORWARD_BIT << base,
-                                       (v, bwd), (moved(bwd),), ()))
-                actions.append(_Action(r, (FORWARD_BIT | BACKWARD_BIT) << base, 0,
-                                       (v, fwd), (moved(fwd), moved(bwd)),
+            _, (fwd, fwd_bit), (bwd, bwd_bit) = self.options[(cid, v)]
+            moves = fwd_bit | bwd_bit
+            for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
+                actions.append(_Action(r, bit, moves & ~bit, (v, dest), (moved(dest),), ()))
+            if fwd_bit != bwd_bit:
+                actions.append(_Action(r, moves, 0, (v, fwd), (moved(fwd), moved(bwd)),
                                        ((v, bwd),)))
         return actions
 
@@ -324,89 +252,64 @@ def _tables() -> _Tables:
 # ---------------------------------------------------------------------------
 
 def _search(tm: int, mode: str):
-    """BFS over canonical (configuration, visited) states along every
-    positive-probability transition the table allows.
+    """BFS over (configuration, visited) states from the initial state along
+    every positive-probability transition the table allows, expanding the
+    first state reached in each symmetry orbit.
 
-    Returns (bad_state, parents, popped_configs): bad_state is the first
-    terminal state found with incomplete coverage (None when absent).
+    Returns (bad_state, parents, expanded): bad_state is the first terminal
+    state found with incomplete coverage (None when absent), parents maps the
+    one state kept per reached orbit to its (predecessor, combo), or to None
+    for the initial state, and expanded holds the canonical config ids of
+    every popped state.
     """
     tb = _tables()
     combos = tb.combos[mode]
-    start_cid, start_mask, _ = tb.canon[(tb.initial_cid, tb.initial_mask)]
-    start = (start_cid, start_mask)
+    orbit = tb.orbit
+    start = (tb.initial_cid, tb.initial_mask)
     parents: dict[tuple[int, int], Optional[tuple]] = {start: None}
+    seen = {orbit[start]}
     queue = deque([start])
-    popped: set[int] = set()
+    expanded: set[int] = set()
     while queue:
         state = queue.popleft()
         cid, mask = state
-        popped.add(cid)
-        if tb.movebits[cid] & tm == 0:
+        expanded.add(tb.canonical_cid[cid])
+        if tb.config_moves[cid] & tm == 0:
             if mask != FULL_MASK:
-                return state, parents, popped
+                return state, parents, expanded
             continue
         for combo in combos[cid]:
             if combo.req & ~tm:
                 continue
-            succ_cid, succ_mask, perm = tb.canon[(combo.succ_cid, mask | combo.succ_occ)]
-            succ = (succ_cid, succ_mask)
-            if succ not in parents:
-                parents[succ] = (state, combo, perm)
+            succ = (combo.succ_cid, mask | combo.succ_occ)
+            key = orbit[succ]
+            if key not in seen:
+                seen.add(key)
+                parents[succ] = (state, combo)
                 queue.append(succ)
-    return None, parents, popped
-
-
-def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(g[h[i]] for i in range(N))
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * N
-    for i in range(N):
-        out[p[i]] = i
-    return tuple(out)
+    return None, parents, expanded
 
 
 def _path_witness(state: tuple[int, int], parents: dict) -> list[dict]:
-    """Rebuild the positive-probability path as one concrete computation.
-
-    Stored states are canonical representatives, so each stored transition is
-    known only up to a ring symmetry; composing those symmetries re-labels
-    every step into the frame of the first configuration.
-    """
+    """The stored positive-probability path to ``state`` as one concrete
+    computation from the initial state."""
     tb = _tables()
-    chain = []
-    cur = state
-    while parents[cur] is not None:
-        prev, combo, perm = parents[cur]
-        chain.append((prev, combo, perm))
-        cur = prev
-    chain.reverse()
-    g = tuple(range(N))
-    steps = []
-    config = list(tb.configs[cur[0]])
-    mask = cur[1]
-    for prev, combo, perm in chain:
-        activation = {g[v]: a for v, a in combo.activation}
-        outcomes = [(g[v], None if dest is None else g[dest]) for v, dest in combo.outcomes]
-        steps.append({
-            "config": list(config),
-            "visited": sorted(i for i in range(N) if mask >> i & 1),
-            "activation": activation,
-            "outcomes": [{"node": v, "to": dest} for v, dest in outcomes],
-        })
-        for v, dest in outcomes:
-            if dest is not None:
-                config[v] -= 1
-                config[dest] += 1
-        mask |= sum(1 << i for i in range(N) if config[i])
-        g = _compose(g, _invert(perm))
-    steps.append({
-        "config": list(config),
-        "visited": sorted(i for i in range(N) if mask >> i & 1),
-        "activation": None,
-        "outcomes": None,
-    })
+
+    def row(state: tuple[int, int], combo: Optional[_Combo]) -> dict:
+        cid, mask = state
+        return {
+            "config": list(tb.configs[cid]),
+            "visited": _nodes(mask),
+            "activation": None if combo is None else dict(combo.activation),
+            "outcomes": None if combo is None else
+            [{"node": v, "to": dest} for v, dest in combo.outcomes],
+        }
+
+    steps = [row(state, None)]
+    while parents[state] is not None:
+        state, combo = parents[state]
+        steps.append(row(state, combo))
+    steps.reverse()
     return steps
 
 
@@ -414,56 +317,46 @@ def _path_witness(state: tuple[int, int], parents: dict) -> list[dict]:
 # Forcing traps
 # ---------------------------------------------------------------------------
 
-def _valid_actions(tb: _Tables, tm: int, sid: int) -> list[_Action]:
-    return [a for a in tb.actions[sid]
-            if (a.pos & ~tm) == 0 and (a.neg & tm) == 0]
+class _Game:
+    """The forcing game of one table over identity states: the actions valid
+    under the table in each state, and the robots with at least one of them.
+    A robot without one has an idle-only support."""
+
+    def __init__(self, tm: int) -> None:
+        self.actions = [[a for a in actions if not a.pos & ~tm and not a.neg & tm]
+                        for actions in _tables().actions]
+        self.movers = [{a.robot for a in actions} for actions in self.actions]
+
+    def service_states(self, trap: set[int], robot: int) -> set[int]:
+        """Trap states where activating ``robot`` services it: its support
+        is idle-only, or it can be forced to move without leaving the trap."""
+        return {sid for sid in trap
+                if robot not in self.movers[sid]
+                or any(a.robot == robot and all(x in trap for x in a.succs)
+                       for a in self.actions[sid])}
+
+    def attractor(self, trap: set[int], goal: set[int]) -> dict[int, int]:
+        """Trap states from which the scheduler forces a visit to ``goal``,
+        each mapped to the number of forcing actions it needs at most."""
+        rank = dict.fromkeys(goal, 0)
+        level = 0
+        while True:
+            level += 1
+            new = [sid for sid in trap - rank.keys()
+                   if any(all(x in rank for x in a.succs) for a in self.actions[sid])]
+            if not new:
+                return rank
+            rank.update(dict.fromkeys(new, level))
 
 
-def _idle_only(tb: _Tables, tm: int, sid: int, robot: int) -> bool:
-    positions = tb.idstates[sid]
-    cid = tb.idstate_cid[sid]
-    idx = tb.node_class[(cid, positions[robot])]
-    width = FORWARD_BIT | (0 if tb.classes[idx].symmetric else BACKWARD_BIT)
-    return tm & (width << (3 * idx)) == 0
-
-
-def _attractor(tb: _Tables, tm: int, trap: set[int], goal: set[int]) -> set[int]:
-    reach = set(goal)
-    frontier = True
-    while frontier:
-        frontier = False
-        for sid in trap - reach:
-            for a in _valid_actions(tb, tm, sid):
-                if all(x in reach for x in a.succs):
-                    reach.add(sid)
-                    frontier = True
-                    break
-    return reach
-
-
-def _service_states(tb: _Tables, tm: int, trap: set[int], robot: int) -> set[int]:
-    out = set()
-    for sid in trap:
-        if _idle_only(tb, tm, sid, robot):
-            out.add(sid)
-            continue
-        for a in _valid_actions(tb, tm, sid):
-            if a.robot == robot and all(x in trap for x in a.succs):
-                out.add(sid)
-                break
-    return out
-
-
-def _fair_trap(tm: int, reachable_cids: set[int]) -> set[int]:
+def _fair_trap(game: _Game, expanded: set[int]) -> set[int]:
     """Largest set of identity states where a fair scheduler can keep the
     system forever: every state keeps a forcing action whose outcomes all stay
     inside, and every robot can always be steered to a state where it is
     serviceable (idle-support activation or being the forced mover)."""
     tb = _tables()
-    trap = {
-        sid for sid, cid in enumerate(tb.idstate_cid)
-        if tb.canonical_cid[cid] in reachable_cids and tb.movebits[cid] & tm
-    }
+    trap = {sid for sid, cid in enumerate(tb.idstate_cid)
+            if tb.canonical_cid[cid] in expanded and game.actions[sid]}
     while True:
         changed = False
         # Closure: each state needs an action staying inside the trap.
@@ -471,16 +364,14 @@ def _fair_trap(tm: int, reachable_cids: set[int]) -> set[int]:
         while pruning:
             pruning = False
             for sid in list(trap):
-                if not any(all(x in trap for x in a.succs)
-                           for a in _valid_actions(tb, tm, sid)):
+                if not any(all(x in trap for x in a.succs) for a in game.actions[sid]):
                     trap.discard(sid)
                     pruning = changed = True
         if not trap:
             return trap
         # Fairness: every robot's service states must stay force-reachable.
         for robot in range(K):
-            service = _service_states(tb, tm, trap, robot)
-            shrunk = _attractor(tb, tm, trap, service)
+            shrunk = set(game.attractor(trap, game.service_states(trap, robot)))
             if shrunk != trap:
                 trap = shrunk
                 changed = True
@@ -488,31 +379,12 @@ def _fair_trap(tm: int, reachable_cids: set[int]) -> set[int]:
             return trap
 
 
-def _service_ranks(tb: _Tables, tm: int, trap: set[int], robot: int) -> dict[int, int]:
-    service = _service_states(tb, tm, trap, robot)
-    rank = {sid: 0 for sid in service}
-    level = 0
-    grew = True
-    while grew:
-        grew = False
-        level += 1
-        for sid in trap:
-            if sid in rank:
-                continue
-            for a in _valid_actions(tb, tm, sid):
-                if all(x in rank and rank[x] < level for x in a.succs):
-                    rank[sid] = level
-                    grew = True
-                    break
-    return rank
-
-
-def _strategy_cycle(tm: int, trap: set[int], entry: int) -> list[dict]:
+def _strategy_cycle(game: _Game, trap: set[int], entry: int) -> list[dict]:
     """Walk the servicing strategy from the entry state until a controller
     state repeats; the repeated segment services every robot and is the
     reported witness cycle."""
     tb = _tables()
-    ranks = [_service_ranks(tb, tm, trap, q) for q in range(K)]
+    ranks = [game.attractor(trap, game.service_states(trap, q)) for q in range(K)]
 
     def emit(sid: int, action: Optional[_Action], robot: int, kind: str) -> dict:
         row = {
@@ -535,11 +407,11 @@ def _strategy_cycle(tm: int, trap: set[int], entry: int) -> list[dict]:
         if key in seen:
             return emitted[seen[key]:]
         seen[key] = len(emitted)
-        if _idle_only(tb, tm, sid, q):
+        if q not in game.movers[sid]:
             emitted.append(emit(sid, None, q, "activate-idle"))
             q = (q + 1) % K
             continue
-        direct = next((a for a in _valid_actions(tb, tm, sid)
+        direct = next((a for a in game.actions[sid]
                        if a.robot == q and all(x in trap for x in a.succs)), None)
         if direct is not None:
             emitted.append(emit(sid, direct, q, "force"))
@@ -547,7 +419,7 @@ def _strategy_cycle(tm: int, trap: set[int], entry: int) -> list[dict]:
             q = (q + 1) % K
             continue
         rank = ranks[q]
-        step = next(a for a in _valid_actions(tb, tm, sid)
+        step = next(a for a in game.actions[sid]
                     if all(x in rank and rank[x] < rank[sid] for x in a.succs))
         emitted.append(emit(sid, step, step.robot, "force"))
         sid = step.succs[0]
@@ -565,7 +437,7 @@ def refute(table: ProtocolTable, mode: str = "distributed",
         raise ValueError(f"unknown scheduler mode {mode!r}")
     tb = _tables()
     tm = table_mask(table)
-    bad, parents, popped = _search(tm, mode)
+    bad, parents, expanded = _search(tm, mode)
     if bad is not None:
         witness = None
         if with_witness:
@@ -573,24 +445,25 @@ def refute(table: ProtocolTable, mode: str = "distributed",
             witness = {
                 "path": _path_witness(bad, parents),
                 "terminal_config": list(tb.configs[cid]),
-                "unvisited": sorted(i for i in range(N) if not mask >> i & 1),
+                "unvisited": _nodes(FULL_MASK & ~mask),
             }
         return Certificate(BAD_TERMINAL, witness)
-    trap = _fair_trap(tm, popped)
+    game = _Game(tm)
+    trap = _fair_trap(game, expanded)
     if trap:
         witness = None
         if with_witness:
             entry = min(trap)
-            entry_canon = canonical_form(tb.configs[tb.idstate_cid[entry]])
-            entry_state = next(
-                (state for state in parents if tb.configs[state[0]] == entry_canon), None)
+            entry_cid = tb.idstate_cid[entry]
+            entry_state = next(state for state in parents
+                               if tb.canonical_cid[state[0]] == tb.canonical_cid[entry_cid])
             witness = {
                 "entry_state": list(tb.idstates[entry]),
-                "entry_config": list(tb.configs[tb.idstate_cid[entry]]),
-                "entry_path": None if entry_state is None else _path_witness(entry_state, parents),
+                "entry_config": list(tb.configs[entry_cid]),
+                "entry_path": _path_witness(entry_state, parents),
                 "trap_size": len(trap),
                 "trap_states": [list(tb.idstates[sid]) for sid in sorted(trap)],
-                "cycle": _strategy_cycle(tm, trap, entry),
+                "cycle": _strategy_cycle(game, trap, entry),
             }
         return Certificate(FORCING, witness)
     return Certificate(UNREFUTED, None)
@@ -601,20 +474,10 @@ def refute(table: ProtocolTable, mode: str = "distributed",
 # ---------------------------------------------------------------------------
 
 def _outcome_bit(tb: _Tables, cid: int, node: int, dest: Optional[int]) -> int:
-    idx = tb.node_class[(cid, node)]
-    base = 3 * idx
-    if dest is None:
-        return IDLE_BIT << base
-    if tb.classes[idx].symmetric:
-        if dest not in ((node - 1) % N, (node + 1) % N):
-            raise ValueError(f"{dest} is not adjacent to {node}")
-        return FORWARD_BIT << base
-    fwd, bwd = tb.node_edges[(cid, node)]
-    if dest == fwd:
-        return FORWARD_BIT << base
-    if dest == bwd:
-        return BACKWARD_BIT << base
-    raise ValueError(f"{dest} is not adjacent to {node}")
+    for option, bit in tb.options.get((cid, node), ()):
+        if option == dest:
+            return bit
+    raise ValueError(f"{dest} is not an outcome of a robot on node {node}")
 
 
 def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> None:
@@ -630,18 +493,20 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
         _validate_path(tb, tm, cert.witness["path"], mode)
         last = cert.witness["path"][-1]
         cid = tb.config_id[tuple(last["config"])]
-        if tb.movebits[cid] & tm:
+        if tb.config_moves[cid] & tm:
             raise ValueError("claimed terminal state is not terminal")
         if len(last["visited"]) == N:
             raise ValueError("claimed bad terminal has full coverage")
         return
     if cert.kind == FORCING:
-        if cert.witness["entry_path"] is not None:
-            _validate_path(tb, tm, cert.witness["entry_path"], mode)
-            reached = tuple(cert.witness["entry_path"][-1]["config"])
-            entry = tuple(cert.witness["entry_config"])
-            if canonical_form(reached) != canonical_form(entry):
-                raise ValueError("entry path does not reach the trap entry class")
+        path = cert.witness.get("entry_path")
+        if path is None:
+            raise ValueError("forcing certificate has no entry path")
+        _validate_path(tb, tm, path, mode)
+        reached = tuple(path[-1]["config"])
+        entry = tuple(cert.witness["entry_config"])
+        if canonical_form(reached) != canonical_form(entry):
+            raise ValueError("entry path does not reach the trap entry class")
         trap = {tuple(s) for s in cert.witness["trap_states"]}
         _validate_cycle(tb, tm, cert.witness["cycle"], trap)
         return
@@ -649,6 +514,9 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
 
 
 def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
+    initial = [list(tb.configs[tb.initial_cid]), _nodes(tb.initial_mask)]
+    if not path or [list(path[0]["config"]), list(path[0]["visited"])] != initial:
+        raise ValueError("path does not start at the initial state")
     for j, step in enumerate(path[:-1]):
         config = list(step["config"])
         cid = tb.config_id[tuple(config)]
@@ -660,6 +528,8 @@ def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
         for node, count in step["activation"].items():
             if count > config[node]:
                 raise ValueError(f"step {j}: activates more robots than node {node} holds")
+        if Counter(outcome["node"] for outcome in step["outcomes"]) != Counter(step["activation"]):
+            raise ValueError(f"step {j}: outcomes do not match the activated robots")
         for outcome in step["outcomes"]:
             node, dest = outcome["node"], outcome["to"]
             bit = _outcome_bit(tb, cid, node, dest)
@@ -684,12 +554,12 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: set) -> None:
         if positions not in trap:
             raise ValueError(f"cycle row {j}: state not in declared trap")
         cid = tb.idstate_cid[tb.idstate_id[positions]]
-        if tb.movebits[cid] & tm == 0:
+        if tb.config_moves[cid] & tm == 0:
             raise ValueError(f"cycle row {j}: trap state is terminal")
         robot = row["robot"]
         nxt = tuple(cycle[(j + 1) % len(cycle)]["state"])
         if row["kind"] == "activate-idle":
-            if not _idle_only(tb, tm, tb.idstate_id[positions], robot):
+            if tm & tb.node_moves[(cid, positions[robot])]:
                 raise ValueError(f"cycle row {j}: robot {robot} is not idle-only")
             if nxt != positions:
                 raise ValueError(f"cycle row {j}: idle activation changed the state")
@@ -726,29 +596,16 @@ def support_decision(table: ProtocolTable, c, i: int) -> robot_protocol.Decision
     single-decision equivalent and raise ValueError.
     """
     tb = _tables()
-    c = as_config(c)
-    idx = tb.class_by_view[view_key(c, i)]
-    mask = table[idx]
-    if tb.classes[idx].symmetric:
-        return {
-            1: robot_protocol.idle(),
-            2: robot_protocol.move_adversary(),
-            3: robot_protocol.try_move_adversary(),
-        }[mask]
-    direction = canonical_direction(c, i)
-    fwd = (i + direction) % len(c)
-    bwd = (i - direction) % len(c)
-    if mask == 1:
+    tm = table_mask(table)
+    (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(tb.config_id[as_config(c)], i)]
+    if not tm & (fwd_bit | bwd_bit):
         return robot_protocol.idle()
-    if mask == 2:
-        return robot_protocol.move(fwd)
-    if mask == 3:
-        return robot_protocol.try_move(fwd)
-    if mask == 4:
-        return robot_protocol.move(bwd)
-    if mask == 5:
-        return robot_protocol.try_move(bwd)
-    raise ValueError("support with both directions has no single-decision form")
+    if fwd_bit == bwd_bit:
+        return robot_protocol.try_move_adversary() if tm & idle else robot_protocol.move_adversary()
+    if tm & fwd_bit and tm & bwd_bit:
+        raise ValueError("support with both directions has no single-decision form")
+    target = fwd if tm & fwd_bit else bwd
+    return robot_protocol.try_move(target) if tm & idle else robot_protocol.move(target)
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +621,6 @@ def _count_mode(mode: str, lo: int, hi: int) -> tuple[dict, dict]:
         counts[cert.kind] += 1
         first.setdefault(cert.kind, idx)
     return counts, first
-
-
-def _count_mode_job(args: tuple[str, int, int]) -> tuple[dict, dict]:
-    return _count_mode(*args)
 
 
 def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
@@ -786,24 +639,23 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
         "total": total,
         "modes": {},
     }
+    chunk = -(-total // jobs)
     for mode in modes:
-        if jobs > 1:
+        ranges = [(mode, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        if jobs == 1:
+            parts = list(itertools.starmap(_count_mode, ranges))
+        else:
             import multiprocessing
 
-            chunk = (total + jobs - 1) // jobs
-            ranges = [(mode, i * chunk, min((i + 1) * chunk, total)) for i in range(jobs)]
             with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(_count_mode_job, ranges)
-            counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
-            first: dict[str, int] = {}
-            for part_counts, part_first in parts:
-                for kind, value in part_counts.items():
-                    counts[kind] += value
-                for kind, idx in part_first.items():
-                    if kind not in first or idx < first[kind]:
-                        first[kind] = idx
-        else:
-            counts, first = _count_mode(mode, 0, total)
+                parts = pool.starmap(_count_mode, ranges)
+        counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
+        first: dict[str, int] = {}
+        for part_counts, part_first in parts:  # in table order
+            for kind, value in part_counts.items():
+                counts[kind] += value
+            for kind, idx in part_first.items():
+                first.setdefault(kind, idx)
         examples = {}
         for kind, idx in sorted(first.items()):
             table = next(itertools.islice(enumerate_protocols(classes), idx, None))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Optional, Sequence
 
 Configuration = tuple[int, ...]
 
@@ -39,6 +40,16 @@ def parse_config(text: str) -> Configuration:
 
 def format_config(c: Sequence[int]) -> str:
     return ",".join(str(v) for v in c)
+
+
+def configurations(n: int, k: int) -> Iterator[Configuration]:
+    """Every configuration of k robots on n nodes, in the order
+    ``combinations_with_replacement`` lists their node multisets."""
+    for nodes in combinations_with_replacement(range(n), k):
+        c = [0] * n
+        for node in nodes:
+            c[node] += 1
+        yield tuple(c)
 
 
 def occupied_nodes(c: Configuration) -> tuple[int, ...]:

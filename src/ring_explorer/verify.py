@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Optional
 
 from . import protocol as default_protocol
@@ -32,6 +32,7 @@ from .protocol import Decision, has_four_segment, phase
 from .ring import (
     Configuration,
     canonical_form,
+    configurations,
     find_arrow,
     format_config,
     has_tower,
@@ -274,15 +275,7 @@ def check_mrp_bounds(trace: Trace) -> CheckReport:
 def count_tower_classes(n: int, k: int = 3) -> int:
     """Number of indistinguishability classes of k-robot configurations that
     contain a tower of fewer than k robots, by brute-force enumeration."""
-    classes = set()
-    for nodes in combinations_with_replacement(range(n), k):
-        c = [0] * n
-        for node in nodes:
-            c[node] += 1
-        c = tuple(c)
-        if has_small_tower(c, k):
-            classes.add(canonical_form(c))
-    return len(classes)
+    return len({canonical_form(c) for c in configurations(n, k) if has_small_tower(c, k)})
 
 
 # ---------------------------------------------------------------------------

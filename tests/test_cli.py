@@ -102,8 +102,9 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     ("simulate", "--n", "9", "--initial", "2,-1,1,1,1,0,0,0,0"),
     ("simulate", "--n", "9", "--initial", "1,1,x"),
     ("verify", "--traces", "-1"),
+    ("impossible", "--jobs", "0"),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
-        "initial-negative", "initial-not-int", "traces-negative"])
+        "initial-negative", "initial-not-int", "traces-negative", "jobs-0"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

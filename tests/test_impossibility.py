@@ -160,6 +160,51 @@ class TestCertificateValidation:
             imp.validate_certificate(table, forged, "distributed")
         imp.validate_certificate(table, cert, "distributed")
 
+    @pytest.mark.parametrize("forgery, message", [
+        ("path-off-start", "does not start at the initial state"),
+        ("outcomes-beyond-activation", "do not match the activated robots"),
+        ("no-entry-path", "no entry path"),
+    ], ids=["path-off-start", "outcomes-beyond-activation", "no-entry-path"])
+    def test_forged_certificates_rejected(self, classes, forgery, message):
+        # Each forgery replays step by step under its table; only the start,
+        # activation and reachability checks can tell it from a real one.
+        table = named_table(classes, scatter_side=BWD, pair_single=FWD)
+        if forgery == "path-off-start":
+            cert = imp.Certificate(imp.BAD_TERMINAL, {"path": [
+                {"config": [3, 0, 0, 0], "visited": [0], "activation": None, "outcomes": None},
+            ]})
+        elif forgery == "outcomes-beyond-activation":
+            # One robot activated, both scatter sides move onto the middle.
+            cert = imp.Certificate(imp.BAD_TERMINAL, {"path": [
+                {"config": [1, 1, 1, 0], "visited": [0, 1, 2], "activation": {1: 1},
+                 "outcomes": [{"node": 0, "to": 1}, {"node": 2, "to": 1}]},
+                {"config": [0, 3, 0, 0], "visited": [0, 1, 2], "activation": None,
+                 "outcomes": None},
+            ]})
+        else:
+            # The named table only ever moves from scatter to pair to opposite
+            # shapes, so no forcing cycle replays under it.  This table's only
+            # cycle, triple tower <-> pair, is unreachable: the initial state
+            # is terminal under it.
+            table = named_table(classes, triple_tower=FWD, pair_single=BWD)
+            cycle = []
+            for robot in range(3):
+                out = [0, 0, 0]
+                out[robot] = 1
+                cycle.append({"state": [0, 0, 0], "kind": "force", "robot": robot,
+                              "move": [0, 1]})
+                cycle.append({"state": out, "kind": "force", "robot": robot,
+                              "move": [1, 0]})
+            cert = imp.Certificate(imp.FORCING, {
+                "entry_state": [0, 0, 0],
+                "entry_config": [3, 0, 0, 0],
+                "entry_path": None,
+                "trap_states": [row["state"] for row in cycle],
+                "cycle": cycle,
+            })
+        with pytest.raises(ValueError, match=message):
+            imp.validate_certificate(table, cert, "sequential")
+
     def test_sequential_witnesses_use_singleton_activations(self, classes):
         rng = random.Random(4)
         tables = list(imp.enumerate_protocols(classes))
@@ -179,35 +224,64 @@ class TestCertificateValidation:
                 imp.validate_certificate(table, cert, mode)
 
 
+def dihedral_images(config, mask):
+    """The images of a (configuration, visited-mask) state under the eight
+    rotations and reflections of the four-ring, node i going to r + s*i."""
+    images = set()
+    for r in range(4):
+        for s in (1, -1):
+            p = [(r + s * i) % 4 for i in range(4)]
+            pc = [0] * 4
+            for i in range(4):
+                pc[p[i]] = config[i]
+            pm = sum(1 << p[i] for i in range(4) if mask >> i & 1)
+            images.add((tuple(pc), pm))
+    return images
+
+
 class TestSymmetryClosure:
-    def test_canonicalization_constant_on_orbits(self):
+    def test_orbit_key_separates_exactly_the_orbits(self):
         tb = imp._tables()
+        orbits = set()
         for cid, c in enumerate(tb.configs):
             for mask in range(16):
-                canon = tb.canon[(cid, mask)][:2]
-                for p in tb.perms:
-                    pc = [0] * 4
-                    for i in range(4):
-                        pc[p[i]] = c[i]
-                    pm = sum(1 << p[i] for i in range(4) if mask >> i & 1)
-                    moved = tb.canon[(tb.config_id[tuple(pc)], pm)][:2]
-                    assert moved == canon
+                images = dihedral_images(c, mask)
+                orbits.add(frozenset(images))
+                keys = {tb.orbit[(tb.config_id[pc], pm)] for pc, pm in images}
+                assert keys == {tb.orbit[(cid, mask)]}
+        assert len(set(tb.orbit.values())) == len(orbits)
 
-    def test_reachable_states_closed_under_symmetry(self, classes):
-        # Stored states are canonical, so any symmetry image of a stored state
-        # canonicalizes back to a stored state.
-        table = named_table(classes, scatter_side=FWD, scatter_middle=3)
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_search_keeps_one_state_per_orbit(self, classes, mode):
+        # A plain BFS over concrete states, without any quotient, reaches the
+        # same orbits as the search, which keeps one state of each.
         tb = imp._tables()
-        _, parents, _ = imp._search(imp.table_mask(table), "distributed")
-        for cid, mask in parents:
-            c = tb.configs[cid]
-            for p in tb.perms:
-                pc = [0] * 4
-                for i in range(4):
-                    pc[p[i]] = c[i]
-                pm = sum(1 << p[i] for i in range(4) if mask >> i & 1)
-                image = tb.canon[(tb.config_id[tuple(pc)], pm)][:2]
-                assert image in parents
+
+        def orbit(state):
+            cid, mask = state
+            return frozenset(dihedral_images(tb.configs[cid], mask))
+
+        complete = 0
+        for table in itertools.islice(imp.enumerate_protocols(classes), 0, None, 500):
+            tm = imp.table_mask(table)
+            bad, parents, _ = imp._search(tm, mode)
+            if bad is not None:
+                continue  # the search stops at the first bad terminal
+            complete += 1
+            start = (tb.initial_cid, tb.initial_mask)
+            reached = {start}
+            queue = [start]
+            while queue:
+                cid, mask = queue.pop()
+                for combo in tb.combos[mode][cid]:
+                    succ = (combo.succ_cid, mask | combo.succ_occ)
+                    if not combo.req & ~tm and succ not in reached:
+                        reached.add(succ)
+                        queue.append(succ)
+            expanded = {orbit(state) for state in parents}
+            assert len(expanded) == len(parents)
+            assert expanded == {orbit(state) for state in reached}
+        assert complete >= 5
 
 
 class TestEngineReplay:
