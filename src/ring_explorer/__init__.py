@@ -11,7 +11,6 @@ from .engine import (
     mrp,
     run,
     sample_towerless,
-    step,
     trace_to_jsonl,
 )
 from .protocol import Decision, ProtocolError, decide

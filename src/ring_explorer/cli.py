@@ -5,39 +5,23 @@ Subcommands: ``simulate`` (one seeded run, JSONL trace), ``campaign``
 one-step checks plus trace bounds), ``count`` (tower-class counting), and
 ``impossible`` (the three-robot refutation report).  Identical invocations
 with identical seeds produce byte-identical output; timings go to stderr.
+Out-of-range arguments, such as an ``--n`` of 8 or less for ``simulate``,
+``campaign`` or ``verify``, are argparse usage errors with exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from typing import Callable, Optional
 
 from . import impossibility, verify
-from .engine import POLICY_NAMES, SCRIPTED, SchedulerPolicy, run, sample_towerless, trace_to_jsonl
+from .engine import (DEFAULT_MAX_STEPS, POLICY_NAMES, SCRIPTED, SchedulerPolicy, run,
+                     sample_towerless, trace_to_jsonl)
 from .ring import parse_config
-
-ENV_THREADS = "RING_EXPLORER_THREADS"
-
-
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get(ENV_THREADS)
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    return max(1, cap)
-
-
-def _effective_jobs(requested: int) -> int:
-    cap = _thread_cap()
-    return min(requested, cap) if cap is not None else requested
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -63,12 +47,6 @@ def _initial(text: str):
         raise argparse.ArgumentTypeError(f"bad configuration {text!r}: {exc}") from None
 
 
-def _policy(name: str) -> SchedulerPolicy:
-    if name == SCRIPTED:
-        raise SystemExit("scripted schedules are available through the library API only")
-    return SchedulerPolicy(name)
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text + "\n")
@@ -77,29 +55,27 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, default_n: int = 9) -> None:
-    parser.add_argument("--n", type=int, default=default_n, help="ring size")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=_int_at_least(9), default=9, help="ring size")
     parser.add_argument("--seed", type=int, default=0, help="master seed (recorded in output)")
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.n <= 8 or args.k != 4:
-        raise SystemExit(f"simulate needs k=4 and n>8 (got k={args.k}, n={args.n})")
     rng = random.Random(args.seed)
     if args.initial == "random":
-        initial = sample_towerless(args.n, args.k, rng)
+        initial = sample_towerless(args.n, verify.PROTOCOL_K, rng)
     else:
         initial = args.initial
         if len(initial) != args.n:
             raise SystemExit(f"--initial has {len(initial)} nodes but --n is {args.n}")
-        if sum(initial) != args.k:
-            raise SystemExit(f"--initial holds {sum(initial)} robots but --k is {args.k}")
+        if sum(initial) != verify.PROTOCOL_K:
+            raise SystemExit(f"--initial holds {sum(initial)} robots, not {verify.PROTOCOL_K}")
     # An explicit --initial may be a mid-protocol snapshot (e.g. an arrow);
     # only randomly sampled starts are forced to be towerless.
     trace = run(
         initial,
-        _policy(args.policy),
+        SchedulerPolicy(args.policy),
         seed=args.seed,
         rng=rng,
         max_steps=args.max_steps,
@@ -110,10 +86,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.n <= 8:
-        raise SystemExit(f"campaign needs n>8 (got n={args.n})")
     stats = verify.campaign(
-        args.n, args.trials, _policy(args.policy), args.seed, max_steps=args.max_steps
+        args.n, args.trials, SchedulerPolicy(args.policy), args.seed, max_steps=args.max_steps
     )
     _emit(json.dumps(stats.to_json(), indent=2), args.output)
     ok = stats.terminated_count == args.trials and stats.full_coverage_count == args.trials
@@ -121,15 +95,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n <= 8:
-        raise SystemExit(f"verify needs n>8 (got n={args.n})")
     reports = [
         verify.check_no_tower_one_step(args.n),
         verify.check_four_segment_step(args.n),
         verify.check_phase3_monotone(args.n),
+        _mrp_batch(args.n, args.traces, args.seed),
     ]
-    mrp_report = _mrp_batch(args.n, args.traces, args.seed)
-    reports.append(mrp_report)
     lines = []
     all_passed = True
     for report in reports:
@@ -143,11 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _mrp_batch(n: int, traces: int, seed: int) -> verify.CheckReport:
     batch = verify.CheckReport(claim="mrp-lower-bounds", details={"n": n, "traces": traces})
-    master = random.Random(seed)
-    for _ in range(traces):
-        rng = random.Random(master.randrange(2**63))
-        initial = sample_towerless(n, 4, rng)
-        trace = run(initial, SchedulerPolicy("round-robin"), rng=rng, max_steps=100_000)
+    for _, trace in verify.trial_runs(n, traces, SchedulerPolicy("round-robin"), seed):
         if not trace.terminated:
             batch.violations.append({"reason": "run did not terminate"})
             continue
@@ -172,12 +139,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_impossible(args: argparse.Namespace) -> int:
     modes = ("distributed", "sequential") if args.mode == "both" else (args.mode,)
-    jobs = _effective_jobs(args.jobs)
     report: dict = {}
     ok = True
     for mode in modes:
         start = time.perf_counter()
-        part = impossibility.theorem2_report(modes=(mode,), jobs=jobs)
+        part = impossibility.theorem2_report(modes=(mode,), jobs=args.jobs)
         report = part | {"modes": report.get("modes", {}) | part["modes"]}
         counts = part["modes"][mode]
         print(f"{mode}: {counts['bad_terminal']} bad-terminal, {counts['forcing']} forcing, "
@@ -198,12 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one seeded run, JSONL trace output")
     _add_common(p)
-    p.add_argument("--k", type=int, default=4)
     p.add_argument("--initial", type=_initial, default="random",
                    help='comma-separated multiplicities or "random"')
     p.add_argument("--policy", choices=[m for m in POLICY_NAMES if m != SCRIPTED],
                    default="round-robin")
-    p.add_argument("--max-steps", type=_int_at_least(0), default=1_000_000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("campaign", help="Monte-Carlo termination/coverage statistics")
@@ -211,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=500)
     p.add_argument("--policy", choices=[m for m in POLICY_NAMES if m != SCRIPTED],
                    default="random-subset")
-    p.add_argument("--max-steps", type=_int_at_least(0), default=100_000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=verify.CAMPAIGN_MAX_STEPS)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("verify", help="exhaustive one-step checks and trace bounds")
@@ -230,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impossible", help="three-robot refutation report (n=4, k=3)")
     p.add_argument("--mode", choices=["distributed", "sequential", "both"], default="both")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help=f"worker processes (capped by ${ENV_THREADS})")
+                   help="worker processes")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_impossible)
     return parser

@@ -287,9 +287,6 @@ class Simulation:
             counts[p] += 1
         return tuple(counts)
 
-    def is_terminal(self) -> bool:
-        return is_terminal(self.configuration(), self.decide)
-
     def step(self, activated: Iterable[int]) -> StepRecord:
         acts = tuple(sorted(set(activated)))
         if not acts:
@@ -336,18 +333,6 @@ def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) ->
     return all(not decide(c, i).moves for i in occupied_nodes(c))
 
 
-def step(
-    c: Sequence[int],
-    activated: Iterable[int],
-    rng: random.Random,
-    adversary: Optional[Adversary] = None,
-    decide: DecideFn = default_protocol.decide,
-) -> StepRecord:
-    """One-shot step on a bare configuration (robot ids in node order)."""
-    sim = Simulation(c, decide, rng, adversary)
-    return sim.step(activated)
-
-
 def run(
     initial: Sequence[int],
     policy: SchedulerPolicy,
@@ -371,13 +356,7 @@ def run(
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
     steps: list[StepRecord] = []
-    terminated = False
-    while True:
-        if sim.is_terminal():
-            terminated = True
-            break
-        if sim.t >= max_steps:
-            break
+    while not (terminated := is_terminal(sim.configuration(), decide)) and sim.t < max_steps:
         activation = policy.activation(sim.t, sim.k, rng)
         if activation is None:
             break

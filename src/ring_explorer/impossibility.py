@@ -508,6 +508,10 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
         if canonical_form(reached) != canonical_form(entry):
             raise ValueError("entry path does not reach the trap entry class")
         trap = {tuple(s) for s in cert.witness["trap_states"]}
+        entry_state = tuple(cert.witness["entry_state"])
+        if entry_state not in trap or tuple(entry_state.count(v) for v in range(N)) != entry:
+            raise ValueError("entry state is not a trap state of the entry configuration")
+        _validate_trap(tb, tm, trap)
         _validate_cycle(tb, tm, cert.witness["cycle"], trap)
         return
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
@@ -543,6 +547,15 @@ def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
         expected_visited = set(step["visited"]) | {i for i in range(N) if config[i]}
         if expected_visited != set(path[j + 1]["visited"]):
             raise ValueError(f"step {j}: visited-set mismatch")
+
+
+def _validate_trap(tb: _Tables, tm: int, trap: set) -> None:
+    # The conditions ``_fair_trap`` establishes, checked on the declared trap.
+    game, sids = _Game(tm), {tb.idstate_id[s] for s in trap}
+    if not all(any(all(x in sids for x in a.succs) for a in game.actions[sid]) for sid in sids):
+        raise ValueError("declared trap is not closed under forcing actions")
+    if any(game.attractor(sids, game.service_states(sids, q)).keys() != sids for q in range(K)):
+        raise ValueError("declared trap does not keep every robot serviceable")
 
 
 def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: set) -> None:
@@ -593,11 +606,15 @@ def support_decision(table: ProtocolTable, c, i: int) -> robot_protocol.Decision
     """Express one view class's support as an engine decision, when possible.
 
     Supports containing both directions of an asymmetric view have no
-    single-decision equivalent and raise ValueError.
+    single-decision equivalent and raise ValueError, as do an unoccupied node
+    and a configuration other than three robots on four nodes.
     """
     tb = _tables()
     tm = table_mask(table)
-    (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(tb.config_id[as_config(c)], i)]
+    options = tb.options.get((tb.config_id.get(as_config(c)), i))
+    if options is None:
+        raise ValueError(f"node {i} is not occupied in a three-robot four-ring configuration")
+    (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = options
     if not tm & (fwd_bit | bwd_bit):
         return robot_protocol.idle()
     if fwd_bit == bwd_bit:

@@ -111,12 +111,12 @@ def decide(c: Configuration, i: int) -> Decision:
     if kind == "final":
         return idle()
     if kind == "four-segment":
-        return phase2_decide(c, i)
+        return _phase2_decide(c, i)
     if kind == "arrow":
-        return phase3_decide(c, i)
+        return _phase3_decide(c, i)
     if kind == "invalid":
         raise ProtocolError("unsupported configuration: tower without an arrow")
-    return phase1_decide(c, i)
+    return _phase1_decide(c, i)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def _holes_by_neighbor(hole_list: tuple[Hole, ...]) -> dict[int, list[Hole]]:
     return out
 
 
-def phase1_decide(c: Configuration, i: int) -> Decision:
+def _phase1_decide(c: Configuration, i: int) -> Decision:
     """Gathering rules, by segment-length multiset.
 
     {3,1}: the isolated robot heads for the block through its shorter hole.
@@ -141,8 +141,6 @@ def phase1_decide(c: Configuration, i: int) -> Decision:
     (all four / exactly three / exactly two), so that simultaneous moves can
     never land two robots on one node.
     """
-    if has_tower(c):
-        raise ProtocolError("unsupported configuration: tower without an arrow")
     segs = segments(c)
     hls = holes(c)
     lengths = sorted(s.length for s in segs)
@@ -213,7 +211,7 @@ def phase1_decide(c: Configuration, i: int) -> Decision:
 # Tower formation (4-segment)
 # ---------------------------------------------------------------------------
 
-def phase2_decide(c: Configuration, i: int) -> Decision:
+def _phase2_decide(c: Configuration, i: int) -> Decision:
     """The two inner robots of the 4-segment each try to move onto the other;
     a lone success forms the two-robot tower, a double success is a swap."""
     n = len(c)
@@ -230,14 +228,10 @@ def phase2_decide(c: Configuration, i: int) -> Decision:
 # Tail walk (non-final arrow)
 # ---------------------------------------------------------------------------
 
-def phase3_decide(c: Configuration, i: int) -> Decision:
+def _phase3_decide(c: Configuration, i: int) -> Decision:
     """Only the arrow tail moves: one step into the hole that separates it
     from the head, growing the arrow by one.  Fully deterministic."""
     arrow = find_arrow(c)
-    if arrow is None:
-        raise ProtocolError("unsupported configuration: no arrow present")
-    if arrow.size == len(c) - 3:
-        raise ProtocolError("final arrow is terminal")
     if i == arrow.tail:
         return move((arrow.tail - arrow.orientation) % len(c))
     return idle()

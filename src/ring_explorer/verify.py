@@ -12,7 +12,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import protocol as default_protocol
 from .engine import (
@@ -41,6 +41,7 @@ from .ring import (
 )
 
 PROTOCOL_K = 4
+CAMPAIGN_MAX_STEPS = 100_000  # step limit of each campaign trial and MRP batch run
 
 
 class InvariantViolation(Exception):
@@ -341,30 +342,39 @@ class CampaignStats:
         return dict(self.__dict__)
 
 
+def trial_runs(n: int, trials: int, policy: SchedulerPolicy, seed: int, *,
+               max_steps: int = CAMPAIGN_MAX_STEPS,
+               decide: DecideFn = default_protocol.decide) -> Iterator[tuple[int, Trace]]:
+    """Seeded runs from uniform towerless initials, as ``(trial_seed, trace)``;
+    the trial seeds are drawn from ``random.Random(seed)``."""
+    master = random.Random(seed)
+    for _ in range(trials):
+        trial_seed = master.randrange(2**63)
+        rng = random.Random(trial_seed)
+        initial = sample_towerless(n, PROTOCOL_K, rng)
+        yield trial_seed, run(initial, policy, rng=rng, max_steps=max_steps, decide=decide)
+
+
 def campaign(
     n: int,
     trials: int,
     policy: SchedulerPolicy,
     seed: int,
     *,
-    max_steps: int = 100_000,
+    max_steps: int = CAMPAIGN_MAX_STEPS,
     decide: DecideFn = default_protocol.decide,
 ) -> CampaignStats:
-    """Seeded Monte-Carlo exploration runs from uniform towerless initials.
+    """Seeded Monte-Carlo exploration over ``trial_runs``.
 
     Every run is monitored step by step (InvariantViolation on any breach) and
     every terminated sequential run is pushed through the MRP lower bounds.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    master = random.Random(seed)
-    trial_seeds = [master.randrange(2**63) for _ in range(trials)]
     terminated = coverage = 0
     step_counts = []
-    for trial_seed in trial_seeds:
-        rng = random.Random(trial_seed)
-        initial = sample_towerless(n, PROTOCOL_K, rng)
-        trace = run(initial, policy, rng=rng, max_steps=max_steps, decide=decide)
+    for trial_seed, trace in trial_runs(n, trials, policy, seed, max_steps=max_steps,
+                                        decide=decide):
         check_run_invariants(trace)
         if trace.terminated:
             terminated += 1

@@ -14,8 +14,9 @@ import pytest
 from ring_explorer import impossibility as imp
 from ring_explorer import protocol, verify
 from ring_explorer.engine import SchedulerPolicy, run, sample_towerless
-from ring_explorer.ring import find_arrow, holes, is_towerless, segments
 from ring_explorer.verify import InvariantViolation
+
+from mutants import flipped_tail_mutant, shortest_hole_mutant
 
 
 def report_line(ok: bool, label: str, detail: str) -> None:
@@ -161,22 +162,6 @@ class TestCriterion7ThreeRobotRefutation:
             f"forcing + {dist['unrefuted']} unrefuted of {dist['total']}; "
             f"sequential: {seq['unrefuted']} unrefuted; {elapsed:.1f}s",
         )
-
-
-def shortest_hole_mutant(c, i):
-    if is_towerless(c) and sorted(s.length for s in segments(c)) == [1, 1, 1, 1]:
-        if c[i]:
-            mine = [h for h in holes(c) if i in h.neighbors]
-            shortest = min(mine, key=lambda h: h.length)
-            return protocol.try_move(shortest.entry_from(i))
-    return protocol.decide(c, i)
-
-
-def flipped_tail_mutant(c, i):
-    arrow = find_arrow(c)
-    if arrow is not None and arrow.size < len(c) - 3 and i == arrow.tail:
-        return protocol.move((arrow.tail + arrow.orientation) % len(c))
-    return protocol.decide(c, i)
 
 
 class TestCriterion8FaultInjection:

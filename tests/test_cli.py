@@ -103,8 +103,12 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     ("simulate", "--n", "9", "--initial", "1,1,x"),
     ("verify", "--traces", "-1"),
     ("impossible", "--jobs", "0"),
+    ("simulate", "--n", "8"),
+    ("campaign", "--n", "8"),
+    ("verify", "--n", "8"),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
-        "initial-negative", "initial-not-int", "traces-negative", "jobs-0"])
+        "initial-negative", "initial-not-int", "traces-negative", "jobs-0",
+        "simulate-n-8", "campaign-n-8", "verify-n-8"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -71,7 +71,7 @@ class TestStep:
             sim.step([])
 
     def test_one_shot_step_helper(self):
-        record = engine.step((1, 0, 2, 1, 0, 0, 0, 0, 0), [0], random.Random(0))
+        record = Simulation((1, 0, 2, 1, 0, 0, 0, 0, 0), rng=random.Random(0)).step([0])
         assert record.after == (0, 0, 2, 1, 0, 0, 0, 0, 1)
         assert record.positions_before == (0, 2, 2, 3)
 

@@ -205,6 +205,36 @@ class TestCertificateValidation:
         with pytest.raises(ValueError, match=message):
             imp.validate_certificate(table, cert, "sequential")
 
+    @pytest.mark.parametrize("index, mode, kept, message", [
+        (370, "sequential", 16, "not closed under forcing actions"),
+        (148, "distributed", 12, "entry state is not a trap state"),
+    ], ids=["trap-not-closed", "trap-without-entry"])
+    def test_cut_down_trap_rejected(self, classes, index, mode, kept, message):
+        # A real forcing certificate whose trap keeps only the states its
+        # cycle rows and their alternative moves touch: every cycle row still
+        # replays, but the trap is no longer closed, or it drops its entry.
+        table = next(itertools.islice(imp.enumerate_protocols(classes), index, None))
+        witness = imp.refute(table, mode).witness
+        touched = set()
+        for row in witness["cycle"]:
+            state = row["state"]
+            touched.add(tuple(state))
+            for _, dest in row.get("alternative_moves", ()):
+                touched.add(tuple(dest if r == row["robot"] else p for r, p in enumerate(state)))
+        assert (witness["trap_size"], len(touched)) == (60, kept)
+        cert = imp.Certificate(imp.FORCING, witness | {"trap_states": sorted(touched)})
+        with pytest.raises(ValueError, match=message):
+            imp.validate_certificate(table, cert, mode)
+
+    def test_unfair_trap_rejected(self, classes):
+        # Robot 1 bounces between these two states forever and closes them,
+        # but robot 0 is never serviced in them: the trap is unfair.
+        table = next(itertools.islice(imp.enumerate_protocols(classes), 12516, None))
+        witness = imp.refute(table, "distributed").witness
+        cert = imp.Certificate(imp.FORCING, witness | {"trap_states": [[0, 0, 1], [0, 1, 1]]})
+        with pytest.raises(ValueError, match="does not keep every robot serviceable"):
+            imp.validate_certificate(table, cert, "distributed")
+
     def test_sequential_witnesses_use_singleton_activations(self, classes):
         rng = random.Random(4)
         tables = list(imp.enumerate_protocols(classes))
@@ -334,6 +364,12 @@ class TestBridge:
         table[side] = 6  # both directions: not expressible
         with pytest.raises(ValueError):
             imp.support_decision(tuple(table), c, 0)
+
+    @pytest.mark.parametrize("c, i", [((1, 1, 1, 0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1, 1, 0), 3)],
+                             ids=["five-ring", "two-robots", "unoccupied-node"])
+    def test_support_decision_rejects_outside_domain(self, classes, c, i):
+        with pytest.raises(ValueError):
+            imp.support_decision(tuple(1 for _ in classes), c, i)
 
     def test_middle_move_is_adversary_choice(self, classes):
         c = (1, 1, 1, 0)

@@ -8,7 +8,7 @@ import pytest
 
 from ring_explorer import protocol, verify
 from ring_explorer.engine import SchedulerPolicy, run, sample_towerless
-from ring_explorer.ring import find_arrow, holes, is_towerless, segments
+from ring_explorer.ring import find_arrow
 from ring_explorer.verify import (
     InvariantViolation,
     campaign,
@@ -19,6 +19,8 @@ from ring_explorer.verify import (
     check_run_invariants,
     count_tower_classes,
 )
+
+from mutants import flipped_tail_mutant, shortest_hole_mutant
 
 
 class TestNoTowerOneStep:
@@ -166,25 +168,6 @@ class TestCampaign:
 # ---------------------------------------------------------------------------
 # Deliberate protocol mutations (guards against vacuous checkers)
 # ---------------------------------------------------------------------------
-
-def shortest_hole_mutant(c, i):
-    """Gathering fault: with four isolated robots, everyone dives into its
-    shortest neighboring hole (possibly of length 1)."""
-    if is_towerless(c) and sorted(s.length for s in segments(c)) == [1, 1, 1, 1]:
-        if c[i]:
-            mine = [h for h in holes(c) if i in h.neighbors]
-            shortest = min(mine, key=lambda h: h.length)
-            return protocol.try_move(shortest.entry_from(i))
-    return protocol.decide(c, i)
-
-
-def flipped_tail_mutant(c, i):
-    """Tail-walk fault: the tail steps toward the tower instead of away."""
-    arrow = find_arrow(c)
-    if arrow is not None and arrow.size < len(c) - 3 and i == arrow.tail:
-        return protocol.move((arrow.tail + arrow.orientation) % len(c))
-    return protocol.decide(c, i)
-
 
 class TestFaultInjection:
     def test_shortest_hole_mutant_creates_towers(self):
