@@ -18,12 +18,14 @@ activates singletons.  States are (configuration, visited-set) pairs.
 Transitions commute with the ring symmetries, so the search expands one
 concrete state per symmetry orbit, and every witness path is a concrete run
 from the initial state: configuration (1, 1, 1, 0) with nodes 0, 1, 2 visited.
+The forcing game runs over the 64 identity states (the node of each robot),
+every set of them a 64-bit mask, so its fixpoints are a few integer operations.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -94,6 +96,18 @@ def enumerate_protocols(classes: list[ViewClass]) -> Iterator[ProtocolTable]:
         yield masks
 
 
+def protocol_at(classes: list[ViewClass], index: int) -> ProtocolTable:
+    """The table ``enumerate_protocols`` yields at ``index``, unranked in
+    mixed radix: the last class varies fastest."""
+    if not 0 <= index < protocol_space_size(classes):
+        raise IndexError(f"protocol index {index} out of range")
+    table = []
+    for vc in reversed(classes):
+        index, digit = divmod(index, len(vc.mask_choices))
+        table.append(vc.mask_choices[digit])
+    return tuple(reversed(table))
+
+
 def describe_protocol(classes: list[ViewClass], table: ProtocolTable) -> dict:
     out = {}
     for vc, mask in zip(classes, table):
@@ -112,42 +126,13 @@ def table_mask(table: ProtocolTable) -> int:
     return tm
 
 
-def _nodes(mask: int) -> list[int]:
-    return [i for i in range(N) if mask >> i & 1]
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------
 # Precomputed transition structure (lazy, protocol-independent)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Combo:
-    """One fully resolved positive-probability branch of one activation."""
-
-    req: int                       # element bits that must all be in the table
-    succ_cid: int
-    succ_occ: int                  # visited-mask contribution of the successor
-    activation: tuple[tuple[int, int], ...]   # (node, robots activated there)
-    outcomes: tuple[tuple[int, Optional[int]], ...]  # (node, destination|None)
-
-
-@dataclass(frozen=True)
-class _Action:
-    """Forcing action: activate one robot until it moves.
-
-    ``succs`` has two entries when both directions of an asymmetric view are
-    in the support (the mover picks; the scheduler must handle both), one
-    entry otherwise (symmetric moves are steered by the adversary).  The
-    action is valid in a table holding every ``pos`` bit and no ``neg`` bit.
-    """
-
-    robot: int
-    pos: int
-    neg: int
-    move: tuple[int, int]
-    succs: tuple[int, ...]
-    alternatives: tuple[tuple[int, int], ...]
-
 
 class _Tables:
     def __init__(self) -> None:
@@ -180,30 +165,61 @@ class _Tables:
         for (cid, _), bits in self.node_moves.items():
             self.config_moves[cid] |= bits
 
+        # Per config, the branches that move a robot, as (required element
+        # bits, successor config id << N, successor occupied-node mask, combo),
+        # combo = ((node, robots activated there), ...), ((node, dest|None), ...).
         self.combos = {
             mode: [self._combos_for(cid, mode == "sequential") for cid in range(len(self.configs))]
             for mode in ("distributed", "sequential")
         }
 
-        # Orbit key of every (configuration, visited) state under the ring
-        # symmetries: both are read node by node and canonicalised together.
-        self.orbit = {
-            (cid, mask): canonical_form(tuple(2 * c[v] + (mask >> v & 1) for v in range(N)))
-            for cid, c in enumerate(self.configs) for mask in range(1 << N)
-        }
+        # Orbit number of every state ``cid << N | visited`` under the ring
+        # symmetries: configuration and visited set are read node by node and
+        # canonicalised together.
+        keys = [canonical_form(tuple(2 * c[v] + (mask >> v & 1) for v in range(N)))
+                for c in self.configs for mask in range(1 << N)]
+        numbers: dict[tuple[int, ...], int] = {}
+        self.orbit = [numbers.setdefault(key, len(numbers)) for key in keys]
 
         # Identity states: the node of each robot, for the forcing game.
         self.idstates: list[tuple[int, ...]] = list(itertools.product(range(N), repeat=K))
         self.idstate_id = {s: i for i, s in enumerate(self.idstates)}
         self.idstate_cid = [self.config_id[tuple(s.count(v) for v in range(N))]
                             for s in self.idstates]
-        self.actions = [self._actions_for(sid) for sid in range(len(self.idstates))]
+        # Per config, the mask of identity states whose configuration lies in
+        # its symmetry orbit: the game states a search that expands it reaches.
+        self.orbit_sids = [sum(1 << sid for sid, scid in enumerate(self.idstate_cid)
+                               if self.canonical_cid[scid] == self.canonical_cid[cid])
+                           for cid in range(len(self.configs))]
+        # The forcing game per robot, view class and 3-bit support field of
+        # that class: the states where the field makes the robot's forcing
+        # action a move to the next node, to the previous node (a symmetric
+        # view has both), or either way at the mover's choice.
+        self.game = [[[[0, 0, 0] for _ in range(8)] for _ in self.classes] for _ in range(K)]
+        for sid, positions in enumerate(self.idstates):
+            for r, v in enumerate(positions):
+                (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = self.options[(self.idstate_cid[sid], v)]
+                shift = idle.bit_length() - 1
+                for field, kinds in enumerate(self.game[r][shift // 3]):
+                    on = field << shift & (fwd_bit | bwd_bit)
+                    for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
+                        if on == bit:
+                            kinds[0 if dest == (v + 1) % N else 1] |= 1 << sid
+                    if fwd_bit != bwd_bit and on == fwd_bit | bwd_bit:
+                        kinds[2] |= 1 << sid
+        # Per robot: its digit's weight in sid, and the states with it on the
+        # last and on the first node, where a one-node move wraps around the
+        # ring; ``_Game.forced`` shifts state masks by these.
+        self.digits = [(N ** (K - 1 - r),
+                        sum(1 << sid for sid, s in enumerate(self.idstates) if s[r] == N - 1),
+                        sum(1 << sid for sid, s in enumerate(self.idstates) if s[r] == 0))
+                       for r in range(K)]
 
         self.initial_cid = self.config_id[(1, 1, 1, 0)]
         self.initial_mask = 0b0111
 
-    def _combos_for(self, cid: int, sequential: bool) -> list[_Combo]:
-        combos: list[_Combo] = []
+    def _combos_for(self, cid: int, sequential: bool) -> list[tuple]:
+        combos = []
         branches = successors(self.configs[cid], lambda v: self.options[(cid, v)], sequential)
         for activation, outcomes, succ in branches:
             if all(dest is None for _, dest, _ in outcomes):
@@ -212,29 +228,9 @@ class _Tables:
             for _, _, bit in outcomes:
                 req |= bit
             succ_cid = self.config_id[succ]
-            combos.append(_Combo(req, succ_cid, self.occ_mask[succ_cid], activation,
-                                 tuple((v, dest) for v, dest, _ in outcomes)))
+            combos.append((req, succ_cid << N, self.occ_mask[succ_cid],
+                           (activation, tuple((v, dest) for v, dest, _ in outcomes))))
         return combos
-
-    def _actions_for(self, sid: int) -> list[_Action]:
-        """Per robot: one action per move option, with the node's other move
-        bits excluded; then, when the two moves have distinct bits, the action
-        whose support holds both and whose mover picks the direction."""
-        positions = self.idstates[sid]
-        cid = self.idstate_cid[sid]
-        actions: list[_Action] = []
-        for r, v in enumerate(positions):
-            def moved(dest: int) -> int:
-                return self.idstate_id[positions[:r] + (dest,) + positions[r + 1:]]
-
-            _, (fwd, fwd_bit), (bwd, bwd_bit) = self.options[(cid, v)]
-            moves = fwd_bit | bwd_bit
-            for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
-                actions.append(_Action(r, bit, moves & ~bit, (v, dest), (moved(dest),), ()))
-            if fwd_bit != bwd_bit:
-                actions.append(_Action(r, moves, 0, (v, fwd), (moved(fwd), moved(bwd)),
-                                       ((v, bwd),)))
-        return actions
 
 
 _TABLES: Optional[_Tables] = None
@@ -252,57 +248,56 @@ def _tables() -> _Tables:
 # ---------------------------------------------------------------------------
 
 def _search(tm: int, mode: str):
-    """BFS over (configuration, visited) states from the initial state along
+    """BFS over states ``cid << N | visited`` from the initial state along
     every positive-probability transition the table allows, expanding the
     first state reached in each symmetry orbit.
 
     Returns (bad_state, parents, expanded): bad_state is the first terminal
     state found with incomplete coverage (None when absent), parents maps the
     one state kept per reached orbit to its (predecessor, combo), or to None
-    for the initial state, and expanded holds the canonical config ids of
-    every popped state.
+    for the initial state, and expanded is the mask of identity states whose
+    configuration shares an orbit with a popped state's.
     """
     tb = _tables()
     combos = tb.combos[mode]
     orbit = tb.orbit
-    start = (tb.initial_cid, tb.initial_mask)
-    parents: dict[tuple[int, int], Optional[tuple]] = {start: None}
-    seen = {orbit[start]}
-    queue = deque([start])
-    expanded: set[int] = set()
-    while queue:
-        state = queue.popleft()
-        cid, mask = state
-        expanded.add(tb.canonical_cid[cid])
+    start = tb.initial_cid << N | tb.initial_mask
+    parents: dict[int, Optional[tuple]] = {start: None}
+    seen = 1 << orbit[start]
+    queue = [start]
+    expanded = 0
+    for state in queue:
+        cid = state >> N
+        expanded |= tb.orbit_sids[cid]
         if tb.config_moves[cid] & tm == 0:
-            if mask != FULL_MASK:
+            if state & FULL_MASK != FULL_MASK:
                 return state, parents, expanded
             continue
-        for combo in combos[cid]:
-            if combo.req & ~tm:
+        visited = state & FULL_MASK
+        for req, succ_cid, succ_occ, combo in combos[cid]:
+            if req & ~tm:
                 continue
-            succ = (combo.succ_cid, mask | combo.succ_occ)
-            key = orbit[succ]
-            if key not in seen:
-                seen.add(key)
+            succ = succ_cid | visited | succ_occ
+            bit = 1 << orbit[succ]
+            if not seen & bit:
+                seen |= bit
                 parents[succ] = (state, combo)
                 queue.append(succ)
     return None, parents, expanded
 
 
-def _path_witness(state: tuple[int, int], parents: dict) -> list[dict]:
+def _path_witness(state: int, parents: dict) -> list[dict]:
     """The stored positive-probability path to ``state`` as one concrete
     computation from the initial state."""
     tb = _tables()
 
-    def row(state: tuple[int, int], combo: Optional[_Combo]) -> dict:
-        cid, mask = state
+    def row(state: int, combo: Optional[tuple]) -> dict:
+        activation, outcomes = combo or (None, None)
         return {
-            "config": list(tb.configs[cid]),
-            "visited": _nodes(mask),
-            "activation": None if combo is None else dict(combo.activation),
-            "outcomes": None if combo is None else
-            [{"node": v, "to": dest} for v, dest in combo.outcomes],
+            "config": list(tb.configs[state >> N]),
+            "visited": _bits(state & FULL_MASK),
+            "activation": activation and dict(activation),
+            "outcomes": outcomes and [{"node": v, "to": dest} for v, dest in outcomes],
         }
 
     steps = [row(state, None)]
@@ -318,87 +313,93 @@ def _path_witness(state: tuple[int, int], parents: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 class _Game:
-    """The forcing game of one table over identity states: the actions valid
-    under the table in each state, and the robots with at least one of them.
-    A robot without one has an idle-only support."""
+    """The forcing game of one table, every set of identity states a 64-bit
+    mask.  Per robot, ``moves`` holds the states of each kind of forcing
+    action as in ``_Tables.game``, and ``movers`` their union: outside it the
+    robot's support is idle-only."""
 
     def __init__(self, tm: int) -> None:
-        self.actions = [[a for a in actions if not a.pos & ~tm and not a.neg & tm]
-                        for actions in _tables().actions]
-        self.movers = [{a.robot for a in actions} for actions in self.actions]
+        tb = _tables()
+        fields = [tm >> 3 * i & 7 for i in range(len(tb.classes))]
+        self.moves = []
+        for per_class in tb.game:
+            plus = minus = both = 0
+            for per_field, field in zip(per_class, fields):
+                p, m, b = per_field[field]
+                plus, minus, both = plus | p, minus | m, both | b
+            self.moves.append((plus, minus, both))
+        self.movers = [plus | minus | both for plus, minus, both in self.moves]
 
-    def service_states(self, trap: set[int], robot: int) -> set[int]:
+    def forced(self, robot: int, target: int) -> int:
+        """States where forcing ``robot`` to move surely lands in ``target``."""
+        plus, minus, both = self.moves[robot]
+        w, last, first = _tables().digits[robot]
+        up = target >> w & ~last | target << (N - 1) * w & last
+        down = target << w & ~first | target >> (N - 1) * w & first
+        return plus & up | minus & down | both & up & down
+
+    def controlled(self, target: int) -> int:
+        """States with a forcing action whose outcomes all lie in ``target``."""
+        out = 0
+        for robot in range(K):
+            out |= self.forced(robot, target)
+        return out
+
+    def service_states(self, trap: int, robot: int) -> int:
         """Trap states where activating ``robot`` services it: its support
         is idle-only, or it can be forced to move without leaving the trap."""
-        return {sid for sid in trap
-                if robot not in self.movers[sid]
-                or any(a.robot == robot and all(x in trap for x in a.succs)
-                       for a in self.actions[sid])}
+        return trap & (~self.movers[robot] | self.forced(robot, trap))
 
-    def attractor(self, trap: set[int], goal: set[int]) -> dict[int, int]:
-        """Trap states from which the scheduler forces a visit to ``goal``,
-        each mapped to the number of forcing actions it needs at most."""
-        rank = dict.fromkeys(goal, 0)
-        level = 0
-        while True:
-            level += 1
-            new = [sid for sid in trap - rank.keys()
-                   if any(all(x in rank for x in a.succs) for a in self.actions[sid])]
-            if not new:
-                return rank
-            rank.update(dict.fromkeys(new, level))
+    def attractor(self, trap: int, goal: int) -> list[int]:
+        """Trap states from which the scheduler forces a visit to ``goal``, as
+        level masks: level i needs at most i forcing actions."""
+        levels = [goal]
+        reached = goal
+        while new := trap & ~reached & self.controlled(reached):
+            levels.append(new)
+            reached |= new
+        return levels
+
+    def choice(self, sid: int, robot: int, target: int) -> list[tuple[int, int]]:
+        """The moves of the first forcing action of ``robot`` in state ``sid``,
+        forward under canonical_direction first, whose outcomes all lie in
+        ``target``; there must be one.  A second move is the mover's option."""
+        tb = _tables()
+        v = tb.idstates[sid][robot]
+        w = tb.digits[robot][0]
+        _, (fwd, _), (bwd, _) = tb.options[(tb.idstate_cid[sid], v)]
+        plus, minus, _ = (mask >> sid & 1 for mask in self.moves[robot])
+        for dest in (fwd, bwd):
+            if (plus if dest == (v + 1) % N else minus) and target >> sid + (dest - v) * w & 1:
+                return [(v, dest)]
+        return [(v, fwd), (v, bwd)]
 
 
-def _fair_trap(game: _Game, expanded: set[int]) -> set[int]:
+def _fair_trap(game: _Game, expanded: int) -> int:
     """Largest set of identity states where a fair scheduler can keep the
     system forever: every state keeps a forcing action whose outcomes all stay
     inside, and every robot can always be steered to a state where it is
     serviceable (idle-support activation or being the forced mover)."""
-    tb = _tables()
-    trap = {sid for sid, cid in enumerate(tb.idstate_cid)
-            if tb.canonical_cid[cid] in expanded and game.actions[sid]}
+    trap = expanded
     while True:
-        changed = False
         # Closure: each state needs an action staying inside the trap.
-        pruning = True
-        while pruning:
-            pruning = False
-            for sid in list(trap):
-                if not any(all(x in trap for x in a.succs) for a in game.actions[sid]):
-                    trap.discard(sid)
-                    pruning = changed = True
-        if not trap:
-            return trap
+        while (closed := trap & game.controlled(trap)) != trap:
+            trap = closed
         # Fairness: every robot's service states must stay force-reachable.
+        fair = trap
         for robot in range(K):
-            shrunk = set(game.attractor(trap, game.service_states(trap, robot)))
-            if shrunk != trap:
-                trap = shrunk
-                changed = True
-        if not changed:
+            fair = sum(game.attractor(fair, game.service_states(fair, robot)))
+        if fair == trap:
             return trap
+        trap = fair
 
 
-def _strategy_cycle(game: _Game, trap: set[int], entry: int) -> list[dict]:
+def _strategy_cycle(game: _Game, trap: int, entry: int) -> list[dict]:
     """Walk the servicing strategy from the entry state until a controller
     state repeats; the repeated segment services every robot and is the
     reported witness cycle."""
     tb = _tables()
-    ranks = [game.attractor(trap, game.service_states(trap, q)) for q in range(K)]
-
-    def emit(sid: int, action: Optional[_Action], robot: int, kind: str) -> dict:
-        row = {
-            "state": list(tb.idstates[sid]),
-            "config": list(tb.configs[tb.idstate_cid[sid]]),
-            "kind": kind,
-            "robot": robot,
-        }
-        if action is not None:
-            row["move"] = list(action.move)
-            if action.alternatives:
-                row["alternative_moves"] = [list(m) for m in action.alternatives]
-        return row
-
+    levels = [game.attractor(trap, game.service_states(trap, q)) for q in range(K)]
     seen: dict[tuple[int, int], int] = {}
     emitted: list[dict] = []
     sid, q = entry, 0
@@ -407,22 +408,27 @@ def _strategy_cycle(game: _Game, trap: set[int], entry: int) -> list[dict]:
         if key in seen:
             return emitted[seen[key]:]
         seen[key] = len(emitted)
-        if q not in game.movers[sid]:
-            emitted.append(emit(sid, None, q, "activate-idle"))
+        row = {
+            "state": list(tb.idstates[sid]),
+            "config": list(tb.configs[tb.idstate_cid[sid]]),
+            "kind": "activate-idle",
+            "robot": q,
+        }
+        emitted.append(row)
+        if not game.movers[q] >> sid & 1:
             q = (q + 1) % K
             continue
-        direct = next((a for a in game.actions[sid]
-                       if a.robot == q and all(x in trap for x in a.succs)), None)
-        if direct is not None:
-            emitted.append(emit(sid, direct, q, "force"))
-            sid = direct.succs[0]
-            q = (q + 1) % K
-            continue
-        rank = ranks[q]
-        step = next(a for a in game.actions[sid]
-                    if all(x in rank and rank[x] < rank[sid] for x in a.succs))
-        emitted.append(emit(sid, step, step.robot, "force"))
-        sid = step.succs[0]
+        if game.forced(q, trap) >> sid & 1:
+            robot, target, q = q, trap, (q + 1) % K
+        else:  # step down the attractor of q's service states
+            rank = next(i for i, level in enumerate(levels[q]) if level >> sid & 1)
+            target = sum(levels[q][:rank])
+            robot = next(r for r in range(K) if game.forced(r, target) >> sid & 1)
+        moves = game.choice(sid, robot, target)
+        row.update(kind="force", robot=robot, move=list(moves[0]))
+        if moves[1:]:
+            row["alternative_moves"] = [list(moves[1])]
+        sid += (moves[0][1] - moves[0][0]) * tb.digits[robot][0]
     raise RuntimeError("strategy walk failed to cycle")
 
 
@@ -441,11 +447,10 @@ def refute(table: ProtocolTable, mode: str = "distributed",
     if bad is not None:
         witness = None
         if with_witness:
-            cid, mask = bad
             witness = {
                 "path": _path_witness(bad, parents),
-                "terminal_config": list(tb.configs[cid]),
-                "unvisited": _nodes(FULL_MASK & ~mask),
+                "terminal_config": list(tb.configs[bad >> N]),
+                "unvisited": _bits(FULL_MASK & ~bad),
             }
         return Certificate(BAD_TERMINAL, witness)
     game = _Game(tm)
@@ -453,16 +458,16 @@ def refute(table: ProtocolTable, mode: str = "distributed",
     if trap:
         witness = None
         if with_witness:
-            entry = min(trap)
+            entry = (trap & -trap).bit_length() - 1
             entry_cid = tb.idstate_cid[entry]
             entry_state = next(state for state in parents
-                               if tb.canonical_cid[state[0]] == tb.canonical_cid[entry_cid])
+                               if tb.canonical_cid[state >> N] == tb.canonical_cid[entry_cid])
             witness = {
                 "entry_state": list(tb.idstates[entry]),
                 "entry_config": list(tb.configs[entry_cid]),
                 "entry_path": _path_witness(entry_state, parents),
-                "trap_size": len(trap),
-                "trap_states": [list(tb.idstates[sid]) for sid in sorted(trap)],
+                "trap_size": trap.bit_count(),
+                "trap_states": [list(tb.idstates[sid]) for sid in _bits(trap)],
                 "cycle": _strategy_cycle(game, trap, entry),
             }
         return Certificate(FORCING, witness)
@@ -480,9 +485,24 @@ def _outcome_bit(tb: _Tables, cid: int, node: int, dest: Optional[int]) -> int:
     raise ValueError(f"{dest} is not an outcome of a robot on node {node}")
 
 
+def _sid(tb: _Tables, state: list) -> int:
+    try:
+        return tb.idstate_id[tuple(state)]
+    except (KeyError, TypeError):
+        raise ValueError(f"{state!r} is not a state of three robots on the four-ring") from None
+
+
+def _node(key) -> int:
+    if str(key) not in [str(v) for v in range(N)]:
+        raise ValueError(f"{key!r} is not a node of the four-ring")
+    return int(key)
+
+
 def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> None:
     """Replay a certificate against the table; raises ValueError on any step
-    whose outcome the table does not actually allow."""
+    whose outcome the table does not actually allow, and on malformed
+    states.  Activation nodes may be strings, as a JSON round trip leaves
+    them."""
     tb = _tables()
     tm = table_mask(table)
     if cert.kind == UNREFUTED:
@@ -491,9 +511,8 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
         raise ValueError("certificate has no witness to validate")
     if cert.kind == BAD_TERMINAL:
         _validate_path(tb, tm, cert.witness["path"], mode)
-        last = cert.witness["path"][-1]
-        cid = tb.config_id[tuple(last["config"])]
-        if tb.config_moves[cid] & tm:
+        last = cert.witness["path"][-1]  # a replayed state: its config is valid
+        if tb.config_moves[tb.config_id[tuple(last["config"])]] & tm:
             raise ValueError("claimed terminal state is not terminal")
         if len(last["visited"]) == N:
             raise ValueError("claimed bad terminal has full coverage")
@@ -507,32 +526,33 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
         entry = tuple(cert.witness["entry_config"])
         if canonical_form(reached) != canonical_form(entry):
             raise ValueError("entry path does not reach the trap entry class")
-        trap = {tuple(s) for s in cert.witness["trap_states"]}
-        entry_state = tuple(cert.witness["entry_state"])
-        if entry_state not in trap or tuple(entry_state.count(v) for v in range(N)) != entry:
+        trap = sum({1 << _sid(tb, state) for state in cert.witness["trap_states"]})
+        entry_sid = _sid(tb, cert.witness["entry_state"])
+        if not trap >> entry_sid & 1 or tb.configs[tb.idstate_cid[entry_sid]] != entry:
             raise ValueError("entry state is not a trap state of the entry configuration")
-        _validate_trap(tb, tm, trap)
+        _validate_trap(tm, trap)
         _validate_cycle(tb, tm, cert.witness["cycle"], trap)
         return
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
 def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
-    initial = [list(tb.configs[tb.initial_cid]), _nodes(tb.initial_mask)]
+    initial = [list(tb.configs[tb.initial_cid]), _bits(tb.initial_mask)]
     if not path or [list(path[0]["config"]), list(path[0]["visited"])] != initial:
         raise ValueError("path does not start at the initial state")
     for j, step in enumerate(path[:-1]):
-        config = list(step["config"])
+        config = list(step["config"])  # a replayed config, by the start and successor checks
         cid = tb.config_id[tuple(config)]
-        activated = sum(step["activation"].values())
+        activation = {_node(key): count for key, count in step["activation"].items()}
+        activated = sum(activation.values())
         if activated < 1:
             raise ValueError(f"step {j}: empty activation")
         if mode == "sequential" and activated != 1:
             raise ValueError(f"step {j}: non-singleton activation in sequential mode")
-        for node, count in step["activation"].items():
+        for node, count in activation.items():
             if count > config[node]:
                 raise ValueError(f"step {j}: activates more robots than node {node} holds")
-        if Counter(outcome["node"] for outcome in step["outcomes"]) != Counter(step["activation"]):
+        if Counter(outcome["node"] for outcome in step["outcomes"]) != Counter(activation):
             raise ValueError(f"step {j}: outcomes do not match the activated robots")
         for outcome in step["outcomes"]:
             node, dest = outcome["node"], outcome["to"]
@@ -549,27 +569,29 @@ def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
             raise ValueError(f"step {j}: visited-set mismatch")
 
 
-def _validate_trap(tb: _Tables, tm: int, trap: set) -> None:
+def _validate_trap(tm: int, trap: int) -> None:
     # The conditions ``_fair_trap`` establishes, checked on the declared trap.
-    game, sids = _Game(tm), {tb.idstate_id[s] for s in trap}
-    if not all(any(all(x in sids for x in a.succs) for a in game.actions[sid]) for sid in sids):
+    game = _Game(tm)
+    if trap & game.controlled(trap) != trap:
         raise ValueError("declared trap is not closed under forcing actions")
-    if any(game.attractor(sids, game.service_states(sids, q)).keys() != sids for q in range(K)):
+    if any(sum(game.attractor(trap, game.service_states(trap, q))) != trap for q in range(K)):
         raise ValueError("declared trap does not keep every robot serviceable")
 
 
-def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: set) -> None:
+def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
     if not cycle:
         raise ValueError("empty forcing cycle")
     serviced = set()
     for j, row in enumerate(cycle):
-        positions = tuple(row["state"])
-        if positions not in trap:
+        sid = _sid(tb, row["state"])
+        if not trap >> sid & 1:
             raise ValueError(f"cycle row {j}: state not in declared trap")
-        cid = tb.idstate_cid[tb.idstate_id[positions]]
+        positions, cid = tb.idstates[sid], tb.idstate_cid[sid]
         if tb.config_moves[cid] & tm == 0:
             raise ValueError(f"cycle row {j}: trap state is terminal")
         robot = row["robot"]
+        if robot not in range(K):
+            raise ValueError(f"cycle row {j}: no robot {robot!r}")
         nxt = tuple(cycle[(j + 1) % len(cycle)]["state"])
         if row["kind"] == "activate-idle":
             if tm & tb.node_moves[(cid, positions[robot])]:
@@ -591,7 +613,7 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: set) -> None:
         for alt_node, alt_dest in row.get("alternative_moves", ()):
             alt = list(positions)
             alt[robot] = alt_dest
-            if tuple(alt) not in trap:
+            if not trap >> _sid(tb, alt) & 1:
                 raise ValueError(f"cycle row {j}: alternative branch leaves the trap")
         serviced.add(robot)
     if serviced != set(range(K)):
@@ -633,8 +655,8 @@ def _count_mode(mode: str, lo: int, hi: int) -> tuple[dict, dict]:
     classes = _tables().classes
     counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
     first: dict[str, int] = {}
-    for idx, table in enumerate(itertools.islice(enumerate_protocols(classes), lo, hi), lo):
-        cert = refute(table, mode, with_witness=False)
+    for idx in range(lo, hi):
+        cert = refute(protocol_at(classes, idx), mode, with_witness=False)
         counts[cert.kind] += 1
         first.setdefault(cert.kind, idx)
     return counts, first
@@ -675,7 +697,7 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
                 first.setdefault(kind, idx)
         examples = {}
         for kind, idx in sorted(first.items()):
-            table = next(itertools.islice(enumerate_protocols(classes), idx, None))
+            table = protocol_at(classes, idx)
             cert = refute(table, mode, with_witness=True)
             examples[kind] = {
                 "protocol_index": idx,

@@ -1,6 +1,8 @@
 """Support-level refutation of three-robot protocols on the four-node ring."""
 
+import copy
 import itertools
+import json
 import random
 
 import pytest
@@ -101,6 +103,15 @@ class TestProtocolEnumeration:
             counts[kind] += 1
             first.setdefault(kind, idx)
         assert imp._count_mode(mode, lo, hi) == (counts, first)
+
+    def test_protocol_at_matches_enumeration(self, classes):
+        tables = list(imp.enumerate_protocols(classes))
+        indices = [0, 1, len(tables) - 1] + random.Random(3).sample(range(len(tables)), 50)
+        for index in indices:
+            assert imp.protocol_at(classes, index) == tables[index]
+        for index in (-1, len(tables)):
+            with pytest.raises(IndexError):
+                imp.protocol_at(classes, index)
 
 
 class TestRefuteKnownProtocols:
@@ -213,7 +224,7 @@ class TestCertificateValidation:
         # A real forcing certificate whose trap keeps only the states its
         # cycle rows and their alternative moves touch: every cycle row still
         # replays, but the trap is no longer closed, or it drops its entry.
-        table = next(itertools.islice(imp.enumerate_protocols(classes), index, None))
+        table = imp.protocol_at(classes, index)
         witness = imp.refute(table, mode).witness
         touched = set()
         for row in witness["cycle"]:
@@ -229,11 +240,56 @@ class TestCertificateValidation:
     def test_unfair_trap_rejected(self, classes):
         # Robot 1 bounces between these two states forever and closes them,
         # but robot 0 is never serviced in them: the trap is unfair.
-        table = next(itertools.islice(imp.enumerate_protocols(classes), 12516, None))
+        table = imp.protocol_at(classes, 12516)
         witness = imp.refute(table, "distributed").witness
         cert = imp.Certificate(imp.FORCING, witness | {"trap_states": [[0, 0, 1], [0, 1, 1]]})
         with pytest.raises(ValueError, match="does not keep every robot serviceable"):
             imp.validate_certificate(table, cert, "distributed")
+
+    @pytest.mark.parametrize("malformed, message", [
+        ("trap-state-off-ring", "is not a state of three robots"),
+        ("activation-node-off-ring", "is not a node"),
+        ("cycle-state-wrong-length", "is not a state of three robots"),
+        ("cycle-robot-out-of-range", "no robot"),
+    ], ids=["trap-state-off-ring", "activation-node-off-ring", "cycle-state-wrong-length",
+            "cycle-robot-out-of-range"])
+    def test_malformed_certificates_rejected(self, classes, malformed, message):
+        # A real forcing certificate with one state, node or robot that does
+        # not exist in the three-robot four-ring.
+        table = imp.protocol_at(classes, 370)
+        witness = copy.deepcopy(imp.refute(table, "sequential").witness)
+        if malformed == "trap-state-off-ring":
+            witness["trap_states"].append([5, 0, 0])
+        elif malformed == "activation-node-off-ring":
+            witness["entry_path"][0]["activation"] = {7: 1}
+        elif malformed == "cycle-state-wrong-length":
+            # Also declared a trap state, so that trap membership cannot catch it.
+            witness["cycle"][0]["state"] = [0, 0, 1, 2]
+            witness["trap_states"].append([0, 0, 1, 2])
+        else:
+            witness["cycle"][0]["robot"] = 5
+        with pytest.raises(ValueError, match=message):
+            imp.validate_certificate(table, imp.Certificate(imp.FORCING, witness), "sequential")
+
+    @pytest.mark.parametrize("index, mode, kind", [
+        (74, "distributed", imp.BAD_TERMINAL),
+        (75, "distributed", imp.FORCING),
+        (63, "sequential", imp.BAD_TERMINAL),
+        (370, "sequential", imp.FORCING),
+    ])
+    def test_json_round_trip_validates(self, classes, index, mode, kind):
+        # JSON turns the activation's int node keys into strings.
+        table = imp.protocol_at(classes, index)
+        cert = imp.refute(table, mode)
+        assert cert.kind == kind
+        witness = json.loads(json.dumps(cert.witness))
+        path = witness["path" if kind == imp.BAD_TERMINAL else "entry_path"]
+        assert all(isinstance(node, str) for step in path[:-1] for node in step["activation"])
+        assert len(path) > 1
+        imp.validate_certificate(table, imp.Certificate(kind, witness), mode)
+        path[0]["activation"] = {"x": 1}
+        with pytest.raises(ValueError, match="is not a node"):
+            imp.validate_certificate(table, imp.Certificate(kind, witness), mode)
 
     def test_sequential_witnesses_use_singleton_activations(self, classes):
         rng = random.Random(4)
@@ -269,6 +325,22 @@ def dihedral_images(config, mask):
     return images
 
 
+def reachable_states(tb, tm, mode):
+    """Every (config id, visited mask) state a plain BFS over concrete states,
+    without any quotient, reaches from the initial state under the table."""
+    start = (tb.initial_cid, tb.initial_mask)
+    reached = {start}
+    queue = [start]
+    while queue:
+        cid, mask = queue.pop()
+        for req, succ_cid, succ_occ, _ in tb.combos[mode][cid]:
+            succ = (succ_cid >> imp.N, mask | succ_occ)
+            if not req & ~tm and succ not in reached:
+                reached.add(succ)
+                queue.append(succ)
+    return reached
+
+
 class TestSymmetryClosure:
     def test_orbit_key_separates_exactly_the_orbits(self):
         tb = imp._tables()
@@ -277,9 +349,9 @@ class TestSymmetryClosure:
             for mask in range(16):
                 images = dihedral_images(c, mask)
                 orbits.add(frozenset(images))
-                keys = {tb.orbit[(tb.config_id[pc], pm)] for pc, pm in images}
-                assert keys == {tb.orbit[(cid, mask)]}
-        assert len(set(tb.orbit.values())) == len(orbits)
+                keys = {tb.orbit[tb.config_id[pc] << imp.N | pm] for pc, pm in images}
+                assert keys == {tb.orbit[cid << imp.N | mask]}
+        assert len(set(tb.orbit)) == len(orbits)
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_search_keeps_one_state_per_orbit(self, classes, mode):
@@ -298,20 +370,96 @@ class TestSymmetryClosure:
             if bad is not None:
                 continue  # the search stops at the first bad terminal
             complete += 1
-            start = (tb.initial_cid, tb.initial_mask)
-            reached = {start}
-            queue = [start]
-            while queue:
-                cid, mask = queue.pop()
-                for combo in tb.combos[mode][cid]:
-                    succ = (combo.succ_cid, mask | combo.succ_occ)
-                    if not combo.req & ~tm and succ not in reached:
-                        reached.add(succ)
-                        queue.append(succ)
-            expanded = {orbit(state) for state in parents}
+            expanded = {orbit(divmod(state, 1 << imp.N)) for state in parents}
             assert len(expanded) == len(parents)
-            assert expanded == {orbit(state) for state in reached}
+            assert expanded == {orbit(state) for state in reachable_states(tb, tm, mode)}
         assert complete >= 5
+
+
+def forcing_actions(tb, tm, positions):
+    """(robot, successor states) of every forcing action of an identity state,
+    from the definition: activate one robot until it moves.  An asymmetric
+    view's robot picks among its supported moves, so one action holds them
+    all; the adversary picks the edge of a symmetric view's move, so each
+    edge is an action of its own."""
+    cid = tb.config_id[tuple(positions.count(v) for v in range(4))]
+    actions = []
+    for robot, v in enumerate(positions):
+        _, (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(cid, v)]
+        dests = [dest for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)) if tm & bit]
+        if fwd_bit == bwd_bit:
+            groups = [[dest] for dest in dests]
+        else:
+            groups = [dests] if dests else []
+        for group in groups:
+            actions.append((robot, {positions[:robot] + (d,) + positions[robot + 1:]
+                                    for d in group}))
+    return actions
+
+
+def reference_trap(tb, tm, states):
+    """The greatest fair trap inside ``states`` over Python sets, written out
+    from its definition: the largest subset in which every state keeps a
+    forcing action that stays inside, and from every state the scheduler can
+    force a visit to a state where each robot is serviced (idle-only, or
+    forced to move without leaving)."""
+    actions = {s: forcing_actions(tb, tm, s) for s in states}
+    trap = set(states)
+    while True:
+        before = set(trap)
+        while True:  # closure
+            closed = {s for s in trap if any(succs <= trap for _, succs in actions[s])}
+            if closed == trap:
+                break
+            trap = closed
+        for robot in range(3):  # fairness, one service attractor per robot
+            attractor = {s for s in trap
+                         if all(r != robot for r, _ in actions[s])
+                         or any(r == robot and succs <= trap for r, succs in actions[s])}
+            while grow := {s for s in trap - attractor
+                           if any(succs <= attractor for _, succs in actions[s])}:
+                attractor |= grow
+            trap = attractor
+        if trap == before:
+            return trap
+
+
+class TestForcingGame:
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_refuted_trap_matches_set_fixpoint(self, classes, mode):
+        # The game starts from the identity states of every reachable
+        # configuration, as the search leaves them.
+        tb = imp._tables()
+        checked = 0
+        for index in range(0, imp.protocol_space_size(classes), 250):
+            table = imp.protocol_at(classes, index)
+            cert = imp.refute(table, mode)
+            if cert.kind == imp.BAD_TERMINAL:
+                continue  # the forcing game is never played
+            checked += 1
+            tm = imp.table_mask(table)
+            reached = {canonical_form(tb.configs[cid]) for cid, _ in reachable_states(tb, tm, mode)}
+            states = [s for s in itertools.product(range(4), repeat=3)
+                      if canonical_form(tuple(s.count(v) for v in range(4))) in reached]
+            trap = {tuple(s) for s in cert.witness["trap_states"]} if cert.witness else set()
+            assert trap == reference_trap(tb, tm, states), index
+        assert checked >= 40
+
+    def test_fair_trap_matches_set_fixpoint_from_random_states(self, classes):
+        # On the reachable states of every table the closure alone already
+        # gives the fair trap; from random start sets the fairness step prunes
+        # too (in about a quarter of these 448 cases).
+        tb = imp._tables()
+        rng = random.Random(7)
+        for index in range(0, imp.protocol_space_size(classes), 250):
+            tm = imp.table_mask(imp.protocol_at(classes, index))
+            game = imp._Game(tm)
+            for _ in range(4):
+                start = rng.getrandbits(64) | rng.getrandbits(64)
+                trap = imp._fair_trap(game, start)
+                states = [s for sid, s in enumerate(tb.idstates) if start >> sid & 1]
+                assert ({s for sid, s in enumerate(tb.idstates) if trap >> sid & 1}
+                        == reference_trap(tb, tm, states)), index
 
 
 class TestEngineReplay:
