@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from . import impossibility, verify
 from .engine import (DEFAULT_MAX_STEPS, POLICY_NAMES, SCRIPTED, SchedulerPolicy, run,
                      sample_towerless, trace_to_jsonl)
+from .protocol import phase
 from .ring import parse_config
 
 
@@ -38,21 +39,29 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _initial(text: str):
-    """argparse type for ``--initial``: "random" or a validated configuration."""
+    """argparse type for ``--initial``: "random" or a configuration in the protocol's domain."""
     if text == "random":
         return text
     try:
-        return parse_config(text)
+        c = parse_config(text)
+        if sum(c) != verify.PROTOCOL_K:
+            raise ValueError(f"holds {sum(c)} robots, not {verify.PROTOCOL_K}")
+        if phase(c) == "invalid":
+            raise ValueError("a tower outside an arrow is outside the protocol's domain")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad configuration {text!r}: {exc}") from None
+    return c
 
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,18 +78,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         initial = args.initial
         if len(initial) != args.n:
             raise SystemExit(f"--initial has {len(initial)} nodes but --n is {args.n}")
-        if sum(initial) != verify.PROTOCOL_K:
-            raise SystemExit(f"--initial holds {sum(initial)} robots, not {verify.PROTOCOL_K}")
-    # An explicit --initial may be a mid-protocol snapshot (e.g. an arrow);
-    # only randomly sampled starts are forced to be towerless.
-    trace = run(
-        initial,
-        SchedulerPolicy(args.policy),
-        seed=args.seed,
-        rng=rng,
-        max_steps=args.max_steps,
-        require_towerless=args.initial == "random",
-    )
+    # A sampled start is towerless; an explicit --initial may be an arrow.
+    trace = run(initial, SchedulerPolicy(args.policy), seed=args.seed, rng=rng,
+                max_steps=args.max_steps, require_towerless=False)
     _emit("\n".join(trace_to_jsonl(trace)), args.output)
     return 0 if trace.terminated else 1
 

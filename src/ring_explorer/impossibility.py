@@ -514,8 +514,12 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
         last = cert.witness["path"][-1]  # a replayed state: its config is valid
         if tb.config_moves[tb.config_id[tuple(last["config"])]] & tm:
             raise ValueError("claimed terminal state is not terminal")
-        if len(last["visited"]) == N:
+        unvisited = sorted(set(range(N)) - set(last["visited"]))
+        if not unvisited:
             raise ValueError("claimed bad terminal has full coverage")
+        summary = [cert.witness.get("terminal_config"), cert.witness.get("unvisited")]
+        if summary != [last["config"], unvisited]:
+            raise ValueError("terminal_config or unvisited does not match the path's last state")
         return
     if cert.kind == FORCING:
         path = cert.witness.get("entry_path")
@@ -532,6 +536,8 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
             raise ValueError("entry state is not a trap state of the entry configuration")
         _validate_trap(tm, trap)
         _validate_cycle(tb, tm, cert.witness["cycle"], trap)
+        if cert.witness.get("trap_size") != trap.bit_count():
+            raise ValueError("trap_size does not match the number of trap states")
         return
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
@@ -610,7 +616,13 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
         moved[robot] = dest
         if tuple(moved) != nxt:
             raise ValueError(f"cycle row {j}: successor mismatch")
-        for alt_node, alt_dest in row.get("alternative_moves", ()):
+        # An asymmetric view with both directions in the support: the mover picks.
+        _, (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(cid, node)]
+        either_way = fwd_bit != bwd_bit and tm & fwd_bit and tm & bwd_bit
+        others = [[node, bwd if dest == fwd else fwd]] if either_way else []
+        if [list(move) for move in row.get("alternative_moves", ())] != others:
+            raise ValueError(f"cycle row {j}: alternative moves do not match the support")
+        for _, alt_dest in others:
             alt = list(positions)
             alt[robot] = alt_dest
             if not trap >> _sid(tb, alt) & 1:

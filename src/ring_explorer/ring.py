@@ -168,9 +168,6 @@ class Hole:
     extremities: tuple[int, int]
     neighbors: tuple[int, int]
 
-    def nodes(self, n: int) -> tuple[int, ...]:
-        return tuple((self.start + j) % n for j in range(self.length))
-
     def entry_from(self, node: int) -> int:
         """First hole node seen from an adjacent occupied node."""
         if node == self.neighbors[0]:
@@ -238,9 +235,6 @@ class Arrow:
     tower: int
     size: int
     orientation: int
-
-    def path_nodes(self, n: int) -> tuple[int, ...]:
-        return tuple((self.tail + j * self.orientation) % n for j in range(self.size + 3))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -12,7 +12,8 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from math import comb
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import protocol as default_protocol
 from .engine import (
@@ -37,7 +38,9 @@ from .ring import (
     format_config,
     has_tower,
     is_final_arrow,
+    is_towerless,
     occupied_nodes,
+    segments,
 )
 
 PROTOCOL_K = 4
@@ -73,9 +76,7 @@ class CheckReport:
 def _violation_json(v) -> dict:
     if isinstance(v, StepRecord):
         return v.to_json() | {"before": format_config(v.before)}
-    if isinstance(v, dict):
-        return {k: (format_config(x) if isinstance(x, tuple) else x) for k, x in v.items()}
-    return {"detail": str(v)}
+    return {k: (format_config(x) if isinstance(x, tuple) else x) for k, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -122,53 +123,11 @@ def _towerless(n: int, nodes: tuple[int, ...]) -> Configuration:
     return tuple(1 if i in nodes else 0 for i in range(n))
 
 
-def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
-    """For every towerless 4-robot configuration without a 4-segment, every
-    nonempty activation, coin vector, and adversary resolution: the successor
-    is towerless.  Exhaustive."""
-    if n <= 8:
-        raise ValueError("protocol domain starts at n=9")
-    report = CheckReport(claim="no-tower-after-one-step")
-    base = skipped = 0
-    for nodes in combinations(range(n), PROTOCOL_K):
-        base += 1
-        c = _towerless(n, nodes)
-        if has_four_segment(c):
-            skipped += 1
-            continue
-        for branch in successors(c, _protocol_options(c, decide)):
-            report.instances_checked += 1
-            if has_tower(branch[2]):
-                report.violations.append(_branch_record(c, branch))
-    report.details = {
-        "n": n,
-        "base_configurations": base,
-        "four_segments_skipped": skipped,
-        "configurations_checked": base - skipped,
-    }
-    return report
-
-
-def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
-    """Every successor of a 4-segment configuration is that configuration or
-    the primary arrow on the same four nodes.  Exhaustive over placements,
-    activations, and coin vectors."""
-    if n <= 8:
-        raise ValueError("protocol domain starts at n=9")
-    report = CheckReport(claim="four-segment-successors")
-    for start in range(n):
-        nodes = tuple((start + j) % n for j in range(4))
-        c = _towerless(n, nodes)
-        for branch in successors(c, _protocol_options(c, decide)):
-            report.instances_checked += 1
-            after = branch[2]
-            if after == c:
-                continue
-            arrow = find_arrow(after)
-            if arrow is None or arrow.size != 1 or set(arrow.path_nodes(n)) != set(nodes):
-                report.violations.append(_branch_record(c, branch))
-    report.details = {"n": n, "placements": n}
-    return report
+def _moved(c: Configuration, node: int, dest: int) -> Configuration:
+    succ = list(c)
+    succ[node] -= 1
+    succ[dest] += 1
+    return tuple(succ)
 
 
 def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configuration:
@@ -177,6 +136,72 @@ def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configurat
     c[(tower + orientation) % n] = 1
     c[(tower - orientation * (size + 1)) % n] = 1
     return tuple(c)
+
+
+def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
+    """The test for the configurations one protocol step may reach from
+    ``before``: from a scatter, any towerless one; from a 4-segment, itself or
+    a primary arrow on its own four nodes; from an arrow, itself or the arrow
+    with the same tower and head grown by one (the final arrow included); from
+    the final arrow or an invalid snapshot, only itself."""
+    kind = phase(before)
+    if kind == "scatter":
+        return is_towerless
+    n = len(before)
+    allowed = {before}
+    if kind == "four-segment":
+        start = next(s.start for s in segments(before) if s.length == 4)
+        allowed |= {_arrow_config(n, (start + 1) % n, -1, 1),
+                    _arrow_config(n, (start + 2) % n, 1, 1)}
+    elif kind == "arrow":
+        arrow = find_arrow(before)
+        allowed.add(_arrow_config(n, arrow.tower, arrow.orientation, arrow.size + 1))
+    return allowed.__contains__
+
+
+def _check_successors(claim: str, n: int, configs: Iterable[Configuration],
+                      decide: DecideFn) -> tuple[CheckReport, int]:
+    """Every branch of one step from each configuration, tested with its
+    ``successor_rule``; a branch the rule rejects is a violation.  Returns
+    the report and the number of configurations."""
+    if n <= 8:
+        raise ValueError("protocol domain starts at n=9")
+    report = CheckReport(claim=claim)
+    count = 0
+    for count, c in enumerate(configs, 1):
+        allowed = successor_rule(c)
+        for branch in successors(c, _protocol_options(c, decide)):
+            report.instances_checked += 1
+            if not allowed(branch[2]):
+                report.violations.append(_branch_record(c, branch))
+    return report, count
+
+
+def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
+    """For every towerless 4-robot configuration without a 4-segment, every
+    nonempty activation, coin vector, and adversary resolution: the successor
+    is towerless.  Exhaustive."""
+    base = comb(n, PROTOCOL_K)
+    towerless = (_towerless(n, nodes) for nodes in combinations(range(n), PROTOCOL_K))
+    report, checked = _check_successors("no-tower-after-one-step", n,
+                                        (c for c in towerless if not has_four_segment(c)), decide)
+    report.details = {
+        "n": n,
+        "base_configurations": base,
+        "four_segments_skipped": base - checked,
+        "configurations_checked": checked,
+    }
+    return report
+
+
+def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
+    """Every successor of a 4-segment configuration is that configuration or
+    the primary arrow on the same four nodes.  Exhaustive over placements,
+    activations, and coin vectors."""
+    placements = (_towerless(n, tuple((start + j) % n for j in range(4))) for start in range(n))
+    report, count = _check_successors("four-segment-successors", n, placements, decide)
+    report.details = {"n": n, "placements": count}
+    return report
 
 
 def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
@@ -195,19 +220,15 @@ def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) ->
                 if arrow is None or arrow.size != size or arrow.tower != tower:
                     report.violations.append({"config": c, "reason": "arrow not recognized"})
                     continue
+                tail = decide(c, arrow.tail)
+                ahead = (arrow.tail - arrow.orientation) % n
+                if tail.kind != default_protocol.MOVE or tail.target != ahead:
+                    report.violations.append({"config": c, "reason": "tail decision"})
                 for node in occupied_nodes(c):
-                    d = decide(c, node)
-                    if node == arrow.tail:
-                        expected = (arrow.tail - arrow.orientation) % n
-                        if d.kind != default_protocol.MOVE or d.target != expected:
-                            report.violations.append({"config": c, "reason": "tail decision"})
-                    elif d.moves:
+                    if node != arrow.tail and decide(c, node).moves:
                         report.violations.append({"config": c, "reason": f"node {node} moves"})
-                succ = list(c)
-                succ[arrow.tail] -= 1
-                succ[(arrow.tail - arrow.orientation) % n] += 1
-                grown = find_arrow(tuple(succ))
-                if grown is None or grown.size != size + 1 or grown.tower != tower:
+                succ = c if tail.target is None else _moved(c, arrow.tail, tail.target)
+                if not successor_rule(c)(succ):
                     report.violations.append({"config": c, "reason": "successor not a grown arrow"})
             # Walk the tail from the primary arrow to the terminal shape.
             moves = 0
@@ -216,11 +237,7 @@ def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) ->
                 arrow = find_arrow(c)
                 if arrow is None:
                     break  # the walk destroyed the arrow: counted as a violation below
-                d = decide(c, arrow.tail)
-                succ = list(c)
-                succ[arrow.tail] -= 1
-                succ[d.target] += 1
-                c = tuple(succ)
+                c = _moved(c, arrow.tail, decide(c, arrow.tail).target)
                 moves += 1
             report.instances_checked += 1
             if moves != n - 4 or not is_final_arrow(c):
@@ -283,45 +300,21 @@ def count_tower_classes(n: int, k: int = 3) -> int:
 # Run monitoring and campaigns
 # ---------------------------------------------------------------------------
 
-_ALLOWED = {
-    "scatter": {"scatter", "four-segment"},
-    "four-segment": {"four-segment", "arrow"},
-    "arrow": {"arrow"},
-    "final": set(),
-}
-
-
 def check_run_invariants(trace: Trace) -> None:
-    """Assert the phase-progression invariants on every step of a run:
-    towerless until a 4-segment appears, 4-segment steps stay put or form the
-    primary arrow, arrows only ever grow by one, and a terminated run ends in
-    the terminal arrow shape.  Raises InvariantViolation."""
-    prev = trace.initial
-    kind = phase(prev)
-    if kind == "invalid":
+    """Assert that a run starts from a valid configuration, that every step
+    changing the configuration is one ``successor_rule`` allows, and that a
+    terminated run ends in the terminal arrow.  Raises InvariantViolation."""
+    if phase(trace.initial) == "invalid":
         raise InvariantViolation(f"initial configuration invalid: {trace.initial}")
     for step in trace.steps:
-        next_kind = phase(step.after)
-        if next_kind == "final":
-            pass
-        elif next_kind not in _ALLOWED[kind]:
+        if step.changed and not successor_rule(step.before)(step.after):
             raise InvariantViolation(
-                f"step {step.t}: {kind} -> {next_kind} ({format_config(step.before)} -> "
-                f"{format_config(step.after)})"
+                f"step {step.t}: {phase(step.before)} -> {phase(step.after)} "
+                f"({format_config(step.before)} -> {format_config(step.after)})"
             )
-        if kind == "four-segment" and next_kind == "four-segment" and step.after != step.before:
-            raise InvariantViolation(f"step {step.t}: 4-segment changed without forming an arrow")
-        if kind == "four-segment" and next_kind == "arrow" and find_arrow(step.after).size != 1:
-            raise InvariantViolation(f"step {step.t}: 4-segment formed a non-primary arrow")
-        if kind == "arrow" and next_kind == "arrow":
-            size, next_size = find_arrow(prev).size, find_arrow(step.after).size
-            if next_size not in (size, size + 1):
-                raise InvariantViolation(f"step {step.t}: arrow size {size} -> {next_size}")
-        if next_kind == "final" and kind not in ("arrow", "final"):
-            raise InvariantViolation(f"step {step.t}: {kind} jumped straight to final arrow")
-        prev, kind = step.after, next_kind
-    if trace.terminated and kind != "final":
-        raise InvariantViolation(f"terminated in non-terminal shape {kind}")
+    end = phase(trace.steps[-1].after if trace.steps else trace.initial)
+    if trace.terminated and end != "final":
+        raise InvariantViolation(f"terminated in non-terminal shape {end}")
 
 
 @dataclass

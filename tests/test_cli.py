@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,9 +110,12 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     ("simulate", "--n", "8"),
     ("campaign", "--n", "8"),
     ("verify", "--n", "8"),
+    ("simulate", "--n", "9", "--initial", "0,0,0,0,0,0,0,0,4"),
+    ("simulate", "--n", "9", "--initial", "1,1,1,0,0,0,0,0,0"),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
         "initial-negative", "initial-not-int", "traces-negative", "jobs-0",
-        "simulate-n-8", "campaign-n-8", "verify-n-8"])
+        "simulate-n-8", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
+        "initial-three-robots"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -116,3 +123,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"ring-explorer {argv[0]}: error: argument ")
+
+
+def test_unwritable_output_fails_cleanly(tmp_path):
+    target = tmp_path / "missing" / "trace.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ring_explorer.cli", "simulate", "--output", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"cannot write {target}: No such file or directory"]

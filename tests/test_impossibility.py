@@ -246,6 +246,39 @@ class TestCertificateValidation:
         with pytest.raises(ValueError, match="does not keep every robot serviceable"):
             imp.validate_certificate(table, cert, "distributed")
 
+    @pytest.mark.parametrize("index, mode, field, value, message", [
+        (74, "distributed", "unvisited", [0, 1, 2, 3], "does not match the path's last"),
+        (74, "distributed", "terminal_config", [3, 0, 0, 0], "does not match the path's last"),
+        (370, "sequential", "trap_size", 1, "trap_size does not match"),
+    ], ids=["unvisited", "terminal-config", "trap-size"])
+    def test_forged_summary_rejected(self, classes, index, mode, field, value, message):
+        # A real certificate whose summary field disagrees with its path or trap.
+        table = imp.protocol_at(classes, index)
+        cert = imp.refute(table, mode)
+        assert cert.witness[field] != value
+        forged = imp.Certificate(cert.kind, cert.witness | {field: value})
+        with pytest.raises(ValueError, match=message):
+            imp.validate_certificate(table, forged, mode)
+
+    @pytest.mark.parametrize("forgery", ["stripped", "added"])
+    def test_alternative_moves_match_the_support(self, classes, forgery):
+        # Table 308's distributed cycle has rows where the mover picks the
+        # direction and rows where the support allows one direction only.
+        table = imp.protocol_at(classes, 308)
+        witness = copy.deepcopy(imp.refute(table, "distributed").witness)
+        rows = witness["cycle"]
+        either = [row for row in rows if "alternative_moves" in row]
+        single = [row for row in rows if row["kind"] == "force" and row not in either]
+        assert either and single
+        if forgery == "stripped":
+            for row in either:
+                del row["alternative_moves"]
+        else:
+            node, dest = single[0]["move"]
+            single[0]["alternative_moves"] = [[node, (2 * node - dest) % 4]]
+        with pytest.raises(ValueError, match="alternative moves do not match the support"):
+            imp.validate_certificate(table, imp.Certificate(imp.FORCING, witness), "distributed")
+
     @pytest.mark.parametrize("malformed, message", [
         ("trap-state-off-ring", "is not a state of three robots"),
         ("activation-node-off-ring", "is not a node"),

@@ -222,7 +222,6 @@ class TestArrow:
     def test_primary_arrow(self):
         a = find_arrow((2, 1, 0, 0, 1, 0))
         assert a == Arrow(tail=4, head=1, tower=0, size=1, orientation=1)
-        assert a.path_nodes(6) == (4, 5, 0, 1)
 
     def test_size_two_arrow(self):
         a = find_arrow((2, 1, 0, 1, 0, 0))

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from ring_explorer import protocol, verify
-from ring_explorer.engine import SchedulerPolicy, run, sample_towerless
-from ring_explorer.ring import find_arrow
+from ring_explorer.engine import SchedulerPolicy, StepRecord, Trace, run, sample_towerless
+from ring_explorer.ring import find_arrow, parse_config
 from ring_explorer.verify import (
     InvariantViolation,
     campaign,
@@ -139,6 +139,37 @@ class TestRunInvariants:
         trace.steps[0] = bad
         with pytest.raises(InvariantViolation):
             check_run_invariants(trace)
+
+
+    @pytest.mark.parametrize("before, after", [
+        ("1,0,2,1,0,0,0,0,0", "0,0,1,0,0,2,1,0,0"),
+        ("1,1,1,1,0,0,0,0,0", "0,0,0,0,1,0,2,1,0"),
+        ("1,0,2,1,0,0,0,0,0", "0,1,0,2,1,0,0,0,0"),
+    ], ids=["grown-arrow-tower-jumps", "arrow-off-the-segment", "arrow-rotates"])
+    def test_forged_step_caught(self, before, after):
+        before, after = parse_config(before), parse_config(after)
+        step = StepRecord(t=0, activated=(0,), positions_before=(), before=before, after=after,
+                          coins={}, adversary_edges={})
+        trace = Trace(n=9, k=4, policy="scripted", seed=None, initial=before, steps=[step],
+                      visited=frozenset(), terminated=False)
+        with pytest.raises(InvariantViolation):
+            check_run_invariants(trace)
+
+
+class TestSuccessorRule:
+    @pytest.mark.parametrize("before, allowed, rejected", [
+        ("1,0,1,0,0,1,0,1,0", ["0,1,1,0,0,1,0,1,0", "1,1,1,1,0,0,0,0,0"],
+         ["2,0,0,0,0,1,0,1,0"]),
+        ("1,1,1,1,0,0,0,0,0", ["1,1,1,1,0,0,0,0,0", "1,0,2,1,0,0,0,0,0", "1,2,0,1,0,0,0,0,0"],
+         ["1,1,0,1,1,0,0,0,0", "0,0,0,0,1,0,2,1,0"]),
+        ("1,0,2,1,0,0,0,0,0", ["1,0,2,1,0,0,0,0,0", "0,0,2,1,0,0,0,0,1"],
+         ["0,0,1,0,0,2,1,0,0", "0,1,0,2,1,0,0,0,0", "0,1,2,1,0,0,0,0,0"]),
+        ("0,0,2,1,1,0,0,0,0", ["0,0,2,1,1,0,0,0,0"], ["0,0,2,1,0,1,0,0,0"]),
+    ], ids=["scatter", "four-segment", "arrow", "final"])
+    def test_allowed_successors_by_phase(self, before, allowed, rejected):
+        rule = verify.successor_rule(parse_config(before))
+        assert all(rule(parse_config(c)) for c in allowed)
+        assert not any(rule(parse_config(c)) for c in rejected)
 
 
 class TestCampaign:
