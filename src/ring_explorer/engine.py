@@ -260,7 +260,8 @@ def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -
 # ---------------------------------------------------------------------------
 
 class Simulation:
-    """Mutable run state: per-robot positions plus visited-node bookkeeping."""
+    """Mutable run state: per-robot positions, the configuration they form,
+    and the visited nodes, all updated from each step's moves."""
 
     def __init__(
         self,
@@ -278,14 +279,12 @@ class Simulation:
         for node, count in enumerate(c):
             self.positions.extend([node] * count)
         self.k = len(self.positions)
+        self._config = c
         self.visited: set[int] = set(occupied_nodes(c))
         self.t = 0
 
     def configuration(self) -> Configuration:
-        counts = [0] * self.n
-        for p in self.positions:
-            counts[p] += 1
-        return tuple(counts)
+        return self._config
 
     def step(self, activated: Iterable[int]) -> StepRecord:
         acts = tuple(sorted(set(activated)))
@@ -319,10 +318,17 @@ class Simulation:
                 moves[r] = choice
             else:
                 moves[r] = targets[0]
-        for r, target in moves.items():
-            self.positions[r] = target
-        after = self.configuration()
-        self.visited.update(occupied_nodes(after))
+        after = before
+        if moves:
+            # Only the movers' nodes change, and every node occupied before
+            # the step is already visited: apply the movers' deltas alone.
+            counts = list(before)
+            for r, target in moves.items():
+                counts[self.positions[r]] -= 1
+                counts[target] += 1
+                self.positions[r] = target
+            after = self._config = tuple(counts)
+            self.visited.update(moves.values())
         record = StepRecord(self.t, acts, positions_before, before, after, coins, adversary_edges)
         self.t += 1
         return record
@@ -346,6 +352,9 @@ def run(
 ) -> Trace:
     """Iterate steps until terminal or max_steps.
 
+    ``decide`` must be a pure function of (configuration, node): termination
+    is checked on the initial configuration and then only after a step that
+    changes the configuration, since an unchanged snapshot keeps its verdict.
     ``require_towerless`` enforces the problem's initial condition; pass False
     to replay from a mid-run snapshot such as an arrow.
     """
@@ -356,11 +365,15 @@ def run(
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
     steps: list[StepRecord] = []
-    while not (terminated := is_terminal(sim.configuration(), decide)) and sim.t < max_steps:
+    terminated = is_terminal(c, decide)
+    while not terminated and sim.t < max_steps:
         activation = policy.activation(sim.t, sim.k, rng)
         if activation is None:
             break
-        steps.append(sim.step(activation))
+        record = sim.step(activation)
+        steps.append(record)
+        if record.changed:
+            terminated = is_terminal(record.after, decide)
     return Trace(
         n=sim.n,
         k=sim.k,

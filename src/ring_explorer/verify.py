@@ -235,9 +235,10 @@ def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) ->
             c = _arrow_config(n, tower, orientation, 1)
             while not is_final_arrow(c) and moves <= n:
                 arrow = find_arrow(c)
-                if arrow is None:
-                    break  # the walk destroyed the arrow: counted as a violation below
-                c = _moved(c, arrow.tail, decide(c, arrow.tail).target)
+                target = None if arrow is None else decide(c, arrow.tail).target
+                if target is None:
+                    break  # the arrow is gone or its tail stays: counted as a violation below
+                c = _moved(c, arrow.tail, target)
                 moves += 1
             report.instances_checked += 1
             if moves != n - 4 or not is_final_arrow(c):

@@ -22,3 +22,11 @@ def flipped_tail_mutant(c, i):
     if arrow is not None and arrow.size < len(c) - 3 and i == arrow.tail:
         return protocol.move((arrow.tail + arrow.orientation) % len(c))
     return protocol.decide(c, i)
+
+
+def idle_tail_mutant(c, i):
+    """Tail-walk fault: the tail of a non-final arrow idles, so it never grows."""
+    arrow = find_arrow(c)
+    if arrow is not None and arrow.size < len(c) - 3 and i == arrow.tail:
+        return protocol.idle()
+    return protocol.decide(c, i)

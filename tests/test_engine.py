@@ -83,6 +83,62 @@ class TestStep:
         assert record.coins == {1: False, 2: False}
 
 
+SCRIPT = ((0,), (1, 2), (3,), (0, 1, 2, 3), (2,), (1,), (0, 3))
+BOOKKEEPING_POLICIES = [
+    SchedulerPolicy("round-robin"),
+    SchedulerPolicy("sequential-random"),
+    SchedulerPolicy("random-subset"),
+    SchedulerPolicy("scripted", script=SCRIPT * 30),
+]
+
+
+def counts_of(positions, n):
+    return tuple(Counter(positions).get(v, 0) for v in range(n))
+
+
+class TestIncrementalState:
+    """The kept configuration and visited set match a recount at every step."""
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES, ids=lambda p: p.mode)
+    def test_step_bookkeeping(self, policy):
+        for n in range(9, 14):
+            for seed in range(3):
+                rng = random.Random(1000 * n + seed)
+                c = sample_towerless(n, 4, rng)
+                sim = Simulation(c, rng=rng)
+                seen = {v for v in range(n) if c[v]}
+                assert sim.configuration() == c
+                for t in range(150):
+                    record = sim.step(policy.activation(t, sim.k, rng))
+                    after = sim.configuration()
+                    assert after == record.after == counts_of(sim.positions, n)
+                    seen |= {v for v in range(n) if after[v]}
+                    assert sim.visited == seen
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES, ids=lambda p: p.mode)
+    @pytest.mark.parametrize("max_steps", [0, 3, 12, 10**5])
+    def test_run_verdict_matches_last_configuration(self, policy, max_steps):
+        for n in range(9, 14):
+            rng = random.Random(n)
+            trace = run(sample_towerless(n, 4, rng), policy, rng=rng, max_steps=max_steps)
+            configs = trace.configurations()
+            assert trace.terminated == is_terminal(configs[-1])
+            assert trace.visited == {v for c in configs for v in range(n) if c[v]}
+            limit = min(max_steps, len(policy.script)) if policy.script else max_steps
+            if trace.step_count < limit:
+                assert trace.terminated  # stopped early only at a terminal configuration
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES[:3], ids=lambda p: p.mode)
+    def test_terminal_on_the_last_allowed_step(self, policy):
+        for n in range(9, 14):
+            full = run(sample_towerless(n, 4, random.Random(n)), policy, seed=n)
+            assert full.terminated
+            cut = run(sample_towerless(n, 4, random.Random(n)), policy, seed=n,
+                      max_steps=full.step_count)
+            assert cut.terminated
+            assert cut.steps == full.steps
+
+
 class TestIsTerminal:
     def test_final_arrow_terminal(self):
         assert is_terminal((2, 1, 1, 0, 0, 0, 0, 0, 0))

@@ -20,7 +20,7 @@ from ring_explorer.verify import (
     count_tower_classes,
 )
 
-from mutants import flipped_tail_mutant, shortest_hole_mutant
+from mutants import flipped_tail_mutant, idle_tail_mutant, shortest_hole_mutant
 
 
 class TestNoTowerOneStep:
@@ -214,3 +214,11 @@ class TestFaultInjection:
     def test_flipped_tail_mutant_breaks_monotone_check(self):
         report = check_phase3_monotone(9, decide=flipped_tail_mutant)
         assert not report.passed
+
+    def test_idle_tail_mutant_reported_not_raised(self):
+        # The tail's decision has no target: the walk stops and is reported.
+        report = check_phase3_monotone(9, decide=idle_tail_mutant)
+        assert not report.passed
+        walks = [v for v in report.violations if "moves" in v]
+        assert len(walks) == 9 * 2
+        assert all(v["moves"] == 0 for v in walks)
