@@ -77,7 +77,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         initial = args.initial
         if len(initial) != args.n:
-            raise SystemExit(f"--initial has {len(initial)} nodes but --n is {args.n}")
+            args.error(f"argument --initial: has {len(initial)} nodes but --n is {args.n}")
     # A sampled start is towerless; an explicit --initial may be an arrow.
     trace = run(initial, SchedulerPolicy(args.policy), seed=args.seed, rng=rng,
                 max_steps=args.max_steps, require_towerless=False)
@@ -127,7 +127,7 @@ def _mrp_batch(n: int, traces: int, seed: int) -> verify.CheckReport:
 def _cmd_count(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else args.n
     if n_max < args.n:
-        raise SystemExit("--n-max must be at least --n")
+        args.error(f"argument --n-max: must be at least --n ({args.n}), got {n_max}")
     rows = [(n, args.k, verify.count_tower_classes(n, args.k)) for n in range(args.n, n_max + 1)]
     if len(rows) == 1 and args.n_max is None:
         _emit(str(rows[0][2]), args.output)
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=[m for m in POLICY_NAMES if m != SCRIPTED],
                    default="round-robin")
     p.add_argument("--max-steps", type=_int_at_least(0), default=DEFAULT_MAX_STEPS)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, error=p.error)
 
     p = sub.add_parser("campaign", help="Monte-Carlo termination/coverage statistics")
     _add_common(p)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_int_at_least(3), default=None)
     p.add_argument("--k", type=_int_at_least(1), default=3)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, error=p.error)
 
     p = sub.add_parser("impossible", help="three-robot refutation report (n=4, k=3)")
     p.add_argument("--mode", choices=["distributed", "sequential", "both"], default="both")

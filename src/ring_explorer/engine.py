@@ -233,26 +233,37 @@ def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -
     per node in node order, then each node's outcome multiset; certificate
     search order depends on this.
     """
-    occupied = [v for v, m in enumerate(c) if m]
-    choices = {v: options(v) for v in occupied}
-    for counts in itertools.product(*(range(c[v] + 1) for v in occupied)):
-        total = sum(counts)
+    # Every activation in enumeration order, with the rows of its nodes: a row
+    # lists the outcome multisets of that many robots on one node, each as
+    # (its outcomes, its moves as (node, destination) pairs).
+    activations: list[tuple[tuple, tuple, int]] = [((), (), 0)]
+    for v, m in enumerate(c):
+        if not m:
+            continue
+        choices = options(v)
+        rows = [[(tuple((v, dest, label) for dest, label in pick),
+                  tuple((v, dest) for dest, _ in pick if dest is not None))
+                 for pick in itertools.combinations_with_replacement(choices, a)]
+                for a in range(m + 1)]
+        activations = [(activation + ((v, a),), picked + (rows[a],), total + a) if a
+                       else (activation, picked, total)
+                       for activation, picked, total in activations for a in range(m + 1)]
+    for activation, picked, total in activations:
         if total == 0 or (sequential and total != 1):
             continue
-        activation = tuple((v, a) for v, a in zip(occupied, counts) if a)
-        per_node = [
-            [tuple((v, dest, label) for dest, label in pick)
-             for pick in itertools.combinations_with_replacement(choices[v], a)]
-            for v, a in activation
-        ]
-        for chosen in itertools.product(*per_node):
-            outcomes = tuple(itertools.chain.from_iterable(chosen))
-            succ = list(c)
-            for v, dest, _ in outcomes:
-                if dest is not None:
-                    succ[v] -= 1
-                    succ[dest] += 1
-            yield activation, outcomes, tuple(succ)
+        branches = [((), ())]
+        for row in picked:
+            branches = [(outcomes + more, moves + more_moves)
+                        for outcomes, moves in branches for more, more_moves in row]
+        for outcomes, moves in branches:
+            succ = c
+            if moves:
+                counts = list(c)
+                for v, dest in moves:
+                    counts[v] -= 1
+                    counts[dest] += 1
+                succ = tuple(counts)
+            yield activation, outcomes, succ
 
 
 # ---------------------------------------------------------------------------

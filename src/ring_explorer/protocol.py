@@ -10,6 +10,10 @@ The protocol drives the system through three regimes: gather the four robots
 into a single block of adjacent nodes, collapse the block's middle into a
 two-robot tower (forming an arrow), then walk the arrow tail around the ring
 until it reaches the node next to the head.
+
+Decisions are computed once per configuration: each regime's rule decides for
+every robot of a snapshot in one pass, and ``decide`` caches each
+(snapshot, node) answer.  Equal decisions are one shared ``Decision`` value.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .ring import (
     find_arrow,
     has_tower,
     holes,
+    occupied_nodes,
     segments,
 )
 
@@ -54,22 +59,27 @@ class Decision:
         return self.kind != IDLE
 
 
+@lru_cache(maxsize=None)
 def idle() -> Decision:
     return Decision(IDLE)
 
 
+@lru_cache(maxsize=None)
 def move(target: int) -> Decision:
     return Decision(MOVE, target)
 
 
+@lru_cache(maxsize=None)
 def move_adversary() -> Decision:
     return Decision(MOVE, None, adversary=True)
 
 
+@lru_cache(maxsize=None)
 def try_move(target: int) -> Decision:
     return Decision(TRY_MOVE, target)
 
 
+@lru_cache(maxsize=None)
 def try_move_adversary() -> Decision:
     return Decision(TRY_MOVE, None, adversary=True)
 
@@ -95,28 +105,40 @@ def phase(c: Configuration) -> str:
 
 @lru_cache(maxsize=1 << 16)
 def decide(c: Configuration, i: int) -> Decision:
-    """Top-level dispatch on the snapshot's phase.
+    """The decision of the robots on occupied node ``i`` of snapshot ``c``.
 
-    Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
-    formation rule, an arrow to the tail walk, a scatter to the gathering
-    rules.  A tower outside an arrow is rejected: those snapshots are
-    unreachable.
+    A snapshot outside the domain (not four robots, or n <= 8) raises
+    ProtocolError before an unoccupied ``i`` raises ValueError.
     """
     n = len(c)
     if n <= 8 or sum(c) != 4:
         raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
     if c[i] < 1:
         raise ValueError(f"node {i} is not occupied")
+    return _decisions(c)[i]
+
+
+@lru_cache(maxsize=1)
+def _decisions(c: Configuration) -> dict[int, Decision]:
+    """Every occupied node's decision, by the snapshot's phase.
+
+    Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
+    formation rule, an arrow to the tail walk, a scatter to the gathering
+    rules; each rule names its movers, and every other robot idles.  A tower
+    outside an arrow is rejected: those snapshots are unreachable.  Callers
+    ask about one snapshot's nodes back to back, so one entry is cached.
+    """
     kind = phase(c)
-    if kind == "final":
-        return idle()
-    if kind == "four-segment":
-        return _phase2_decide(c, i)
-    if kind == "arrow":
-        return _phase3_decide(c, i)
     if kind == "invalid":
         raise ProtocolError("unsupported configuration: tower without an arrow")
-    return _phase1_decide(c, i)
+    out = dict.fromkeys(occupied_nodes(c), idle())
+    if kind == "four-segment":
+        out.update(_tower_formation(c))
+    elif kind == "arrow":
+        out.update(_tail_walk(c))
+    elif kind == "scatter":
+        out.update(_gathering(c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +153,8 @@ def _holes_by_neighbor(hole_list: tuple[Hole, ...]) -> dict[int, list[Hole]]:
     return out
 
 
-def _phase1_decide(c: Configuration, i: int) -> Decision:
-    """Gathering rules, by segment-length multiset.
+def _gathering(c: Configuration) -> dict[int, Decision]:
+    """Gathering rules, by segment-length multiset; returns the movers.
 
     {3,1}: the isolated robot heads for the block through its shorter hole.
     {2,1,1}: the isolated robot(s) nearest the pair close in on it.
@@ -141,6 +163,7 @@ def _phase1_decide(c: Configuration, i: int) -> Decision:
     (all four / exactly three / exactly two), so that simultaneous moves can
     never land two robots on one node.
     """
+    n = len(c)
     segs = segments(c)
     hls = holes(c)
     lengths = sorted(s.length for s in segs)
@@ -148,90 +171,70 @@ def _phase1_decide(c: Configuration, i: int) -> Decision:
 
     if lengths == [1, 3]:
         iso = next(s.start for s in segs if s.length == 1)
-        if i != iso:
-            return idle()
-        near, far = sorted(by_neighbor[i], key=lambda h: h.length)
+        near, far = sorted(by_neighbor[iso], key=lambda h: h.length)
         if near.length == far.length:
             # Both routes to the block are equally long; the view is symmetric.
-            return move_adversary()
-        return move(near.entry_from(i))
+            return {iso: move_adversary()}
+        return {iso: move(near.entry_from(iso))}
 
     if lengths == [1, 1, 2]:
         pair = next(s for s in segs if s.length == 2)
-        pair_nodes = set(pair.nodes(len(c)))
+        pair_nodes = set(pair.nodes(n))
         # Each isolated robot touches exactly one hole bordering the pair.
-        link: dict[int, Hole] = {}
-        for s in segs:
-            if s.length != 1:
-                continue
-            link[s.start] = next(
-                h for h in by_neighbor[s.start]
-                if (set(h.neighbors) - {s.start}) & pair_nodes
-            )
-        best = min(link[r].length for r in link)
-        if i in link and link[i].length == best:
-            return move(link[i].entry_from(i))
-        return idle()
+        link = {
+            s.start: next(h for h in by_neighbor[s.start]
+                          if (set(h.neighbors) - {s.start}) & pair_nodes)
+            for s in segs if s.length == 1
+        }
+        best = min(h.length for h in link.values())
+        return {r: move(h.entry_from(r)) for r, h in link.items() if h.length == best}
 
-    if lengths == [2, 2]:
-        lmax = max(h.length for h in hls)
-        mine = [h for h in by_neighbor.get(i, []) if h.length == lmax]
-        if not mine:
-            return idle()
-        return try_move(mine[0].entry_from(i))
-
-    # Four isolated robots.
     lmax = max(h.length for h in hls)
-    touching = {s.start: [h for h in by_neighbor[s.start] if h.length == lmax] for s in segs}
+    touching = {r: [h for h in hs if h.length == lmax] for r, hs in by_neighbor.items()}
     bordering = [r for r, hs in touching.items() if hs]
 
+    if lengths == [2, 2]:
+        return {r: try_move(touching[r][0].entry_from(r)) for r in bordering}
+
+    # Four isolated robots.
     if len(bordering) == 4:
-        mine = touching[i]
-        if len(mine) == 1:
-            return try_move(mine[0].entry_from(i))
-        direction = canonical_direction(c, i)
-        if direction is None:
-            return try_move_adversary()
-        return try_move((i + direction) % len(c))
+        out = {}
+        for r, mine in touching.items():
+            if len(mine) == 1:
+                out[r] = try_move(mine[0].entry_from(r))
+                continue
+            direction = canonical_direction(c, r)
+            out[r] = try_move_adversary() if direction is None else try_move((r + direction) % n)
+        return out
 
     if len(bordering) == 3:
-        if i in touching and len(touching[i]) == 1:
-            shorter = min(by_neighbor[i], key=lambda h: h.length)
-            return move(shorter.entry_from(i))
-        return idle()
+        return {r: move(min(by_neighbor[r], key=lambda h: h.length).entry_from(r))
+                for r in bordering if len(touching[r]) == 1}
 
     # Exactly two robots border the unique longest hole.
-    if i in touching and touching[i]:
-        other = next(h for h in by_neighbor[i] if h.length != lmax)
-        return move(other.entry_from(i))
-    return idle()
+    return {r: move(next(h for h in by_neighbor[r] if h.length != lmax).entry_from(r))
+            for r in bordering}
 
 
 # ---------------------------------------------------------------------------
 # Tower formation (4-segment)
 # ---------------------------------------------------------------------------
 
-def _phase2_decide(c: Configuration, i: int) -> Decision:
+def _tower_formation(c: Configuration) -> dict[int, Decision]:
     """The two inner robots of the 4-segment each try to move onto the other;
     a lone success forms the two-robot tower, a double success is a swap."""
     n = len(c)
-    seg = next(s for s in segments(c) if s.length == 4)
-    inner = ((seg.start + 1) % n, (seg.start + 2) % n)
-    if i == inner[0]:
-        return try_move(inner[1])
-    if i == inner[1]:
-        return try_move(inner[0])
-    return idle()
+    start = next(s.start for s in segments(c) if s.length == 4)
+    first, second = (start + 1) % n, (start + 2) % n
+    return {first: try_move(second), second: try_move(first)}
 
 
 # ---------------------------------------------------------------------------
 # Tail walk (non-final arrow)
 # ---------------------------------------------------------------------------
 
-def _phase3_decide(c: Configuration, i: int) -> Decision:
+def _tail_walk(c: Configuration) -> dict[int, Decision]:
     """Only the arrow tail moves: one step into the hole that separates it
     from the head, growing the arrow by one.  Fully deterministic."""
     arrow = find_arrow(c)
-    if i == arrow.tail:
-        return move((arrow.tail - arrow.orientation) % len(c))
-    return idle()
+    return {arrow.tail: move((arrow.tail - arrow.orientation) % len(c))}

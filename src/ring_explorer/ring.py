@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Configuration = tuple[int, ...]
 
@@ -57,11 +57,11 @@ def occupied_nodes(c: Configuration) -> tuple[int, ...]:
 
 
 def is_towerless(c: Configuration) -> bool:
-    return all(v <= 1 for v in c)
+    return max(c) <= 1
 
 
 def has_tower(c: Configuration) -> bool:
-    return any(v >= 2 for v in c)
+    return max(c) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,7 @@ def canonical_direction(c: Configuration, i: int) -> Optional[int]:
 # Segments, holes, arrows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Maximal run of occupied nodes: covers start, start+1, ..., length nodes."""
 
     start: int
@@ -159,8 +158,7 @@ class Segment:
         return tuple((self.start + j) % n for j in range(self.length))
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     """Maximal run of free nodes, with its end nodes and occupied neighbors."""
 
     start: int

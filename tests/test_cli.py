@@ -112,10 +112,12 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     ("verify", "--n", "8"),
     ("simulate", "--n", "9", "--initial", "0,0,0,0,0,0,0,0,4"),
     ("simulate", "--n", "9", "--initial", "1,1,1,0,0,0,0,0,0"),
+    ("simulate", "--n", "10", "--initial", "1,1,1,1,0,0,0,0,0"),
+    ("count", "--n", "5", "--n-max", "4"),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
         "initial-negative", "initial-not-int", "traces-negative", "jobs-0",
         "simulate-n-8", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
-        "initial-three-robots"])
+        "initial-three-robots", "initial-ring-size-differs", "count-n-max-below-n"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

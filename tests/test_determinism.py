@@ -2,7 +2,10 @@
 
 The other determinism tests compare two runs of the same code.  These compare
 against values recorded from an earlier version, so a change to the engine that
-alters the RNG draw order, a step record or a trace field fails here.
+alters the RNG draw order, a step record or a trace field fails here, and so
+does a change to the protocol's decisions or to the order in which
+``engine.successors`` yields its branches (the refuter's certificate search
+depends on that order).
 """
 
 import hashlib
@@ -10,9 +13,10 @@ import json
 
 import pytest
 
-from ring_explorer import verify
+from ring_explorer import engine, impossibility, protocol, verify
 from ring_explorer.cli import main
 from ring_explorer.engine import SchedulerPolicy
+from ring_explorer.ring import configurations, format_config, occupied_nodes
 
 CAMPAIGN_11_60_SEED_5 = {
     "round-robin": {
@@ -58,3 +62,64 @@ def test_simulate_stdout_pinned(capsys, policy, seed):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_N13_SHA256[(policy, seed)]
+
+
+# SHA-256 over ``decide(c, i)`` for every 4-robot configuration of n = 9..12
+# and every occupied node: one line per pair, with the decision's
+# ``kind,target,adversary`` or the class name of the exception it raises.
+DECISION_TABLE_9_TO_12_SHA256 = "db36cee66a838d8c3a1e66f59442cd4d64fc7f628ac9b6a3502e1fadfab89426"
+
+# SHA-256 over the ordered branch lists of ``engine.successors``, labels
+# included (a protocol label as ``(kind, target, adversary)``).
+SUCCESSORS_SHA256 = {
+    # Every three-robot four-ring configuration with the refuter's option
+    # table, distributed then sequential.
+    "refuter": "0ea97795a979b470dc295a59a1d0923f71e6dce312acedb283ba03458735dcbc",
+    # Every n = 9 configuration in the protocol's domain (towerless,
+    # 4-segment, arrow), distributed then sequential.
+    "protocol-9": "fc9d4d0b00097c47a975d6bdb798da72dc8edc045dc44812702470997d90b2b7",
+}
+
+
+def test_decision_table_pinned():
+    digest = hashlib.sha256()
+    for n in range(9, 13):
+        for c in configurations(n, 4):
+            for i in occupied_nodes(c):
+                try:
+                    d = protocol.decide(c, i)
+                    row = f"{d.kind},{d.target},{d.adversary}"
+                except Exception as exc:
+                    row = type(exc).__name__
+                digest.update(f"{format_config(c)}@{i}:{row}\n".encode())
+    assert digest.hexdigest() == DECISION_TABLE_9_TO_12_SHA256
+
+
+def _branches_sha256(cases) -> str:
+    digest = hashlib.sha256()
+    for c, options, sequential in cases:
+        for activation, outcomes, succ in engine.successors(c, options, sequential):
+            rows = tuple((v, dest, label if isinstance(label, int)
+                          else (label.kind, label.target, label.adversary))
+                         for v, dest, label in outcomes)
+            digest.update(f"{activation}{rows}{succ}\n".encode())
+    return digest.hexdigest()
+
+
+def _refuter_cases():
+    tables = impossibility._tables()
+    return [(c, lambda v, cid=cid: tables.options[(cid, v)], sequential)
+            for sequential in (False, True) for cid, c in enumerate(tables.configs)]
+
+
+def _protocol_cases():
+    return [(c, verify._protocol_options(c, protocol.decide), sequential)
+            for sequential in (False, True)
+            for c in configurations(9, 4) if protocol.phase(c) != "invalid"]
+
+
+@pytest.mark.parametrize("name,cases", [("refuter", _refuter_cases),
+                                        ("protocol-9", _protocol_cases)],
+                         ids=["refuter", "protocol-9"])
+def test_successor_order_pinned(name, cases):
+    assert _branches_sha256(cases()) == SUCCESSORS_SHA256[name]

@@ -8,7 +8,7 @@ import pytest
 
 from ring_explorer import protocol, verify
 from ring_explorer.engine import SchedulerPolicy, StepRecord, Trace, run, sample_towerless
-from ring_explorer.ring import find_arrow, parse_config
+from ring_explorer.ring import configurations, find_arrow, occupied_nodes, parse_config
 from ring_explorer.verify import (
     InvariantViolation,
     campaign,
@@ -61,6 +61,32 @@ class TestPhase3Monotone:
         report = check_phase3_monotone(n)
         assert report.passed
         assert report.details["tail_moves_to_terminal"] == moves
+
+
+class TestInstanceCounts:
+    """Closed forms for the three one-step checks' instance counts: at n = 20
+    they give the 83,035 / 700 / 680 instances ``verify`` reports."""
+
+    @pytest.mark.parametrize("n", range(9, 14))
+    def test_closed_forms(self, n):
+        assert check_no_tower_one_step(n).instances_checked == \
+            verify.expected_one_step_instances(n)
+        assert check_four_segment_step(n).instances_checked == 35 * n
+        assert check_phase3_monotone(n).instances_checked == 2 * n * (n - 3)
+
+    def test_decisions_are_shared_values(self):
+        # One Decision per kind and target: idle, the two adversary moves,
+        # and a move and a try-move per node.
+        n = 12
+        seen = {}
+        for c in configurations(n, 4):
+            for i in occupied_nodes(c):
+                try:
+                    d = protocol.decide(c, i)
+                except protocol.ProtocolError:
+                    continue
+                seen[id(d)] = d
+        assert len(seen) <= 2 * n + 3
 
 
 class TestMrpBounds:
