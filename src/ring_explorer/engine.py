@@ -5,6 +5,10 @@ coins resolve try-moves independently per robot, an adversary callback picks
 edges for symmetric-view movers, and all resulting moves land simultaneously.
 Robots are anonymous to the protocol but the engine keeps per-robot positions
 so that schedulers can be fair to individual robots and traces are replayable.
+
+Each step yields a ``StepRecord``: an immutable named tuple whose seven fields
+(``t``, ``activated``, ``positions_before``, ``before``, ``after``, ``coins``,
+``adversary_edges``) are all required.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
 from .ring import Configuration, as_config, format_config, has_tower, occupied_nodes, parse_config
@@ -104,19 +109,24 @@ class SchedulerPolicy:
         if self.mode == SEQUENTIAL_RANDOM:
             return (rng.randrange(k),)
         if self.mode == RANDOM_SUBSET:
-            mask = rng.randrange(1, 1 << k)
-            return tuple(r for r in range(k) if mask >> r & 1)
+            return _mask_robots(rng.randrange(1, 1 << k))
         if t >= len(self.script):
             return None
         return tuple(self.script[t])
+
+
+@lru_cache(maxsize=1 << 8)
+def _mask_robots(mask: int) -> tuple[int, ...]:
+    """Robot ids whose bits are set in ``mask``, ascending.  Memoised per
+    mask, so a large robot count never builds a table of all its subsets."""
+    return tuple(r for r in range(mask.bit_length()) if mask >> r & 1)
 
 
 # ---------------------------------------------------------------------------
 # Step records and traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One atomic step, fully resolved: who was activated, where everyone
     stood, every coin toss, and every adversary edge choice."""
 
@@ -125,8 +135,8 @@ class StepRecord:
     positions_before: tuple[int, ...]
     before: Configuration
     after: Configuration
-    coins: dict[int, bool] = field(default_factory=dict)
-    adversary_edges: dict[int, int] = field(default_factory=dict)
+    coins: dict[int, bool]
+    adversary_edges: dict[int, int]
 
     @property
     def activation_nodes(self) -> dict[int, int]:
@@ -301,7 +311,7 @@ class Simulation:
         acts = tuple(sorted(set(activated)))
         if not acts:
             raise SchedulerError("scheduler violated nonemptiness")
-        if any(not 0 <= r < self.k for r in acts):
+        if acts[0] < 0 or acts[-1] >= self.k:
             raise ValueError(f"robot id out of range in activation {acts}")
         before = self.configuration()
         positions_before = tuple(self.positions)
@@ -347,7 +357,10 @@ class Simulation:
 
 def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) -> bool:
     """No robot moves with positive probability: every decision is idle."""
-    return all(not decide(c, i).moves for i in occupied_nodes(c))
+    for i, m in enumerate(c):
+        if m and decide(c, i).moves:
+            return False
+    return True
 
 
 def run(

@@ -175,48 +175,45 @@ class Hole(NamedTuple):
         raise ValueError(f"node {node} is not a neighbor of this hole")
 
 
-def _maximal_runs(c: Configuration, occupied: bool) -> tuple[tuple[int, int], ...]:
-    """(start, length) of maximal circular runs matching the occupancy flag."""
-    n = len(c)
-    match = [(v > 0) == occupied for v in c]
-    anchor = next(i for i in range(n) if not match[i])
-    runs = []
-    j = anchor + 1
-    while j <= anchor + n:
-        if match[j % n]:
-            start = j % n
-            length = 1
-            while match[(j + 1) % n] and j + 1 <= anchor + n:
-                j += 1
-                length += 1
-            runs.append((start, length))
-        j += 1
-    return tuple(runs)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def segments(c: Configuration) -> tuple[Segment, ...]:
-    """All maximal occupied runs, in ring order from an arbitrary anchor."""
-    if all(v == 0 for v in c):
+    """All maximal occupied runs, in ring order from the first free node."""
+    if not any(c):
         return ()
-    if all(v > 0 for v in c):
+    if 0 not in c:
         raise ValueError("no free node")
-    return tuple(Segment(s, l) for s, l in _maximal_runs(c, occupied=True))
+    n = len(c)
+    anchor = c.index(0)
+    out = []
+    start = None
+    for j in range(anchor + 1, anchor + n + 1):  # ends on the free anchor
+        if c[j % n]:
+            if start is None:
+                start = j
+        elif start is not None:
+            out.append(Segment(start % n, j - start))
+            start = None
+    return tuple(out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def holes(c: Configuration) -> tuple[Hole, ...]:
-    """All maximal free runs; each carries its end nodes and occupied neighbors."""
-    if all(v == 0 for v in c):
+    """All maximal free runs, in ring order from the first occupied node; each
+    carries its end nodes and occupied neighbors.  Read off ``segments``: the
+    holes are the gaps between consecutive segments."""
+    if not any(c):
         raise ValueError("no occupied node")
-    if all(v > 0 for v in c):
+    if 0 not in c:
         return ()
     n = len(c)
+    segs = segments(c)
+    if c[0]:  # node 0's segment comes last in ``segs``, and its gap first here
+        segs = segs[-1:] + segs[:-1]
     out = []
-    for start, length in _maximal_runs(c, occupied=False):
-        ext = (start, (start + length - 1) % n)
-        nbr = ((start - 1) % n, (start + length) % n)
-        out.append(Hole(start, length, ext, nbr))
+    for seg, nxt in zip(segs, segs[1:] + segs[:1]):
+        start = (seg.start + seg.length) % n
+        length = (nxt.start - start) % n
+        out.append(Hole(start, length, (start, (nxt.start - 1) % n), ((start - 1) % n, nxt.start)))
     return tuple(out)
 
 

@@ -7,12 +7,14 @@ from collections import Counter
 
 import pytest
 
+import mutants
 from ring_explorer import engine, protocol
 from ring_explorer.engine import (
     SchedulerError,
     SchedulerPolicy,
     ScriptedAdversary,
     Simulation,
+    StepRecord,
     is_terminal,
     mrp,
     read_trace_jsonl,
@@ -21,7 +23,7 @@ from ring_explorer.engine import (
     trace_configurations,
     trace_to_jsonl,
 )
-from ring_explorer.ring import canonical_form, is_final_arrow
+from ring_explorer.ring import canonical_form, configurations, is_final_arrow, occupied_nodes
 
 
 class ScriptedCoins:
@@ -69,6 +71,13 @@ class TestStep:
         sim = Simulation((1, 1, 1, 1, 0, 0, 0, 0, 0))
         with pytest.raises(SchedulerError, match="nonemptiness"):
             sim.step([])
+
+    @pytest.mark.parametrize("activation", [[4], [-1], [0, 4], [-1, 3], [2, 9, 1]])
+    def test_out_of_range_activation_rejected(self, activation):
+        sim = Simulation((1, 1, 1, 1, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            sim.step(activation)
+        assert sim.t == 0 and sim.configuration() == (1, 1, 1, 1, 0, 0, 0, 0, 0)
 
     def test_one_shot_step_helper(self):
         record = Simulation((1, 0, 2, 1, 0, 0, 0, 0, 0), rng=random.Random(0)).step([0])
@@ -148,6 +157,29 @@ class TestIsTerminal:
 
     def test_arrow_not_terminal(self):
         assert not is_terminal((1, 0, 2, 1, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("decide", [protocol.decide, mutants.shortest_hole_mutant,
+                                        mutants.flipped_tail_mutant, mutants.idle_tail_mutant],
+                             ids=lambda f: f.__name__)
+    def test_matches_all_idle_over_the_domain(self, decide):
+        """Same verdict or exception, and the same ``decide`` calls in the same
+        order, as the all-idle definition over every occupied node."""
+        def verdict(terminal, c):
+            calls = []
+            def logged(c, i):
+                calls.append(i)
+                return decide(c, i)
+            try:
+                return terminal(c, logged), calls
+            except Exception as exc:
+                return type(exc).__name__, calls
+
+        def all_idle(c, logged):
+            return all(not logged(c, i).moves for i in occupied_nodes(c))
+
+        for n in range(9, 13):
+            for c in configurations(n, 4):
+                assert verdict(is_terminal, c) == verdict(all_idle, c)
 
 
 class TestRun:
@@ -232,6 +264,44 @@ class TestPolicies:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             SchedulerPolicy("alphabetical")
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_subset_is_the_mask_bit_decode(self, k):
+        policy = SchedulerPolicy("random-subset")
+        rng, replay = random.Random(k), random.Random(k)
+        for t in range(2000):
+            mask = replay.randrange(1, 1 << k)
+            assert policy.activation(t, k, rng) == tuple(r for r in range(k) if mask >> r & 1)
+
+    def test_random_subset_of_64_robots(self):
+        policy = SchedulerPolicy("random-subset")
+        rng, replay = random.Random(64), random.Random(64)
+        for t in range(200):
+            mask = replay.randrange(1, 1 << 64)
+            assert policy.activation(t, 64, rng) == tuple(r for r in range(64) if mask >> r & 1)
+
+
+class TestStepRecord:
+    RECORD = StepRecord(3, (0, 2), (0, 2, 2, 3), (1, 0, 2, 1, 0, 0, 0, 0, 0),
+                        (0, 0, 2, 1, 0, 0, 0, 0, 1), {2: False}, {0: 8})
+
+    def test_immutable(self):
+        for name in StepRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(self.RECORD, name, None)
+
+    def test_fields_in_order_all_required(self):
+        assert StepRecord._fields == ("t", "activated", "positions_before", "before", "after",
+                                      "coins", "adversary_edges")
+        assert StepRecord._field_defaults == {}
+
+    def test_to_json(self):
+        assert self.RECORD.to_json() == {
+            "t": 3, "activated": [0, 2], "coins": {"2": False}, "adversary": {"0": 8},
+            "config": "0,0,2,1,0,0,0,0,1",
+        }
+        assert self.RECORD.activation_nodes == {0: 1, 2: 1}
+        assert self.RECORD.changed
 
 
 class TestMrp:

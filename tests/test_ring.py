@@ -196,6 +196,46 @@ class TestSegmentsHoles:
         assert total == len(c)
         assert len(segments(c)) == len(holes(c))
 
+    def test_match_per_node_scan_exhaustive(self):
+        for n in range(3, 11):
+            for k in range(5):
+                for c in ring.configurations(n, k):
+                    assert run_scan_result(segments, c) == per_node_runs(c, occupied=True)
+                    assert run_scan_result(holes, c) == per_node_runs(c, occupied=False)
+
+
+def per_node_runs(c, occupied):
+    """Oracle for ``segments``/``holes``: a run starts at each matching node
+    whose predecessor does not match and is walked node by node; runs are
+    listed in ring order from the first non-matching node."""
+    n = len(c)
+    match = [(v > 0) == occupied for v in c]
+    if not any(match):
+        return ()
+    if all(match):
+        return ("ValueError", "no free node" if occupied else "no occupied node")
+    anchor = match.index(False)
+    runs = []
+    for offset in range(1, n + 1):
+        start = (anchor + offset) % n
+        if match[start] and not match[start - 1]:
+            length = 1
+            while match[(start + length) % n]:
+                length += 1
+            if occupied:
+                runs.append((start, length))
+            else:
+                end = (start + length - 1) % n
+                runs.append((start, length, (start, end), ((start - 1) % n, (end + 1) % n)))
+    return tuple(runs)
+
+
+def run_scan_result(f, c):
+    try:
+        return tuple(tuple(run) for run in f(c))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
 
 def arrow_oracle(c):
     """Scan every (start, direction, length >= 4) path candidate."""
