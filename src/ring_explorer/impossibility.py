@@ -120,8 +120,18 @@ def describe_protocol(classes: list[ViewClass], table: ProtocolTable) -> dict:
 
 
 def table_mask(table: ProtocolTable) -> int:
+    """The table's supports as one int, class i's in bits 3i to 3i + 2.  The
+    one validation boundary for tables: raises ValueError unless the table
+    is one ``enumerate_protocols`` yields, with one entry per view class and
+    each entry one of its class's ``mask_choices`` (so never 0)."""
+    choices = _tables().choice_bits
+    if len(table) != len(choices):
+        raise ValueError(f"table has {len(table)} supports, not one per view class "
+                         f"({len(choices)})")
     tm = 0
     for index, mask in enumerate(table):
+        if mask < 0 or not choices[index] >> mask & 1:
+            raise ValueError(f"support {mask!r} of class {index} is not one of its mask_choices")
         tm |= mask << (3 * index)
     return tm
 
@@ -138,6 +148,8 @@ class _Tables:
     def __init__(self) -> None:
         self.classes = enumerate_view_classes()
         class_by_view = {vc.view: vc.index for vc in self.classes}
+        # Per class, bit m set for each support m in its mask_choices.
+        self.choice_bits = [sum(1 << mask for mask in vc.mask_choices) for vc in self.classes]
 
         self.configs = list(configurations(N, K))
         self.config_id = {c: cid for cid, c in enumerate(self.configs)}
@@ -219,7 +231,14 @@ class _Tables:
         self.initial_mask = 0b0111
 
     def _combos_for(self, cid: int, sequential: bool) -> list[tuple]:
+        # A branch is dropped when an earlier kept branch has the same
+        # successor configuration and a subset of its required bits.  Every
+        # table that allows the dropped branch then allows the earlier one,
+        # which reaches the same state first (the visited set grows by the
+        # successor's occupied nodes alone), so ``_search`` never takes the
+        # dropped branch and keeps the same bad state, parents and expanded.
         combos = []
+        kept: dict[int, list[int]] = {}  # successor config id -> required bits
         branches = successors(self.configs[cid], lambda v: self.options[(cid, v)], sequential)
         for activation, outcomes, succ in branches:
             if all(dest is None for _, dest, _ in outcomes):
@@ -228,6 +247,10 @@ class _Tables:
             for _, _, bit in outcomes:
                 req |= bit
             succ_cid = self.config_id[succ]
+            reqs = kept.setdefault(succ_cid, [])
+            if any(earlier & ~req == 0 for earlier in reqs):
+                continue
+            reqs.append(req)
             combos.append((req, succ_cid << N, self.occ_mask[succ_cid],
                            (activation, tuple((v, dest) for v, dest, _ in outcomes))))
         return combos
@@ -352,10 +375,12 @@ class _Game:
 
     def attractor(self, trap: int, goal: int) -> list[int]:
         """Trap states from which the scheduler forces a visit to ``goal``, as
-        level masks: level i needs at most i forcing actions."""
+        level masks: level i needs at most i forcing actions.  Once every
+        trap state is reached no level can follow, so ``controlled`` is not
+        called."""
         levels = [goal]
         reached = goal
-        while new := trap & ~reached & self.controlled(reached):
+        while (rest := trap & ~reached) and (new := rest & self.controlled(reached)):
             levels.append(new)
             reached |= new
         return levels
@@ -379,7 +404,13 @@ def _fair_trap(game: _Game, expanded: int) -> int:
     """Largest set of identity states where a fair scheduler can keep the
     system forever: every state keeps a forcing action whose outcomes all stay
     inside, and every robot can always be steered to a state where it is
-    serviceable (idle-support activation or being the forced mover)."""
+    serviceable (idle-support activation or being the forced mover).
+
+    On the reachable states of all 27,783 tables, in both modes, the
+    fairness step removes no state that the closure keeps; it stays for
+    soundness.  In nearly every round each trap state already services each
+    robot, so every attractor stops at once and the round costs one
+    ``service_states`` call per robot."""
     trap = expanded
     while True:
         # Closure: each state needs an action staying inside the trap.
@@ -500,9 +531,9 @@ def _node(key) -> int:
 
 def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> None:
     """Replay a certificate against the table; raises ValueError on any step
-    whose outcome the table does not actually allow, and on malformed
-    states.  Activation nodes may be strings, as a JSON round trip leaves
-    them."""
+    whose outcome the table does not actually allow, on malformed states,
+    and on a malformed table.  Activation nodes may be strings, as a JSON
+    round trip leaves them."""
     tb = _tables()
     tm = table_mask(table)
     if cert.kind == UNREFUTED:
@@ -640,8 +671,9 @@ def support_decision(table: ProtocolTable, c, i: int) -> robot_protocol.Decision
     """Express one view class's support as an engine decision, when possible.
 
     Supports containing both directions of an asymmetric view have no
-    single-decision equivalent and raise ValueError, as do an unoccupied node
-    and a configuration other than three robots on four nodes.
+    single-decision equivalent and raise ValueError, as do a malformed table,
+    an unoccupied node and a configuration other than three robots on four
+    nodes.
     """
     tb = _tables()
     tm = table_mask(table)
@@ -678,6 +710,8 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
                     jobs: int = 1) -> dict:
     """Refute every support-level protocol in each scheduler mode and report
     certificate-kind counts with one example certificate per kind."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tb = _tables()
     classes = tb.classes
     total = protocol_space_size(classes)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines and
 measured runtimes.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -17,6 +18,9 @@ from ring_explorer.engine import SchedulerPolicy, run, sample_towerless
 from ring_explorer.verify import InvariantViolation
 
 from mutants import flipped_tail_mutant, shortest_hole_mutant
+
+# SHA-256 of the stdout of `ring-explorer impossible --mode both`.
+IMPOSSIBLE_BOTH_SHA256 = "6fc01f5ec1e2c9c9d00f038150a4b94c633dddb7638968cda1b8ec95b073bd14"
 
 
 def report_line(ok: bool, label: str, detail: str) -> None:
@@ -148,8 +152,11 @@ class TestCriterion7ThreeRobotRefutation:
                            "sequential": (7757, 19986, 40)}
             and elapsed < 300.0
         )
-        # The report is the deterministic stdout payload: no timings in it.
-        assert "elapsed" not in json.dumps(report)
+        # The report is the deterministic stdout payload: no timings in it,
+        # and `ring-explorer impossible --mode both` prints exactly this.
+        payload = json.dumps(report, indent=2) + "\n"
+        assert "elapsed" not in payload
+        assert hashlib.sha256(payload.encode()).hexdigest() == IMPOSSIBLE_BOTH_SHA256
         tables = list(imp.enumerate_protocols(classes))
         for mode, part in report["modes"].items():
             for kind, example in part["example_certificates"].items():

@@ -84,12 +84,14 @@ class TestProtocolEnumeration:
     def test_stream_length_and_nonempty_supports(self, classes):
         count = 0
         all_idle_seen = 0
+        masks = set()
         for table in imp.enumerate_protocols(classes):
             count += 1
             assert all(mask for mask in table)
             if all(mask == 1 for mask in table):
                 all_idle_seen += 1
-        assert count == 27783
+            masks.add(imp.table_mask(table))  # the validation boundary accepts it
+        assert count == len(masks) == 27783
         assert all_idle_seen == 1
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
@@ -112,6 +114,55 @@ class TestProtocolEnumeration:
         for index in (-1, len(tables)):
             with pytest.raises(IndexError):
                 imp.protocol_at(classes, index)
+
+
+def malformed_table(classes, kind):
+    """A table that ``enumerate_protocols`` cannot yield."""
+    symmetric = next(vc.index for vc in classes if vc.symmetric)
+    ones = [1] * len(classes)
+    if kind == "all-zero":
+        return (0,) * len(classes)
+    if kind == "bleeds-into-next-class":
+        return (8,) + (1,) * (len(classes) - 1)  # 8 << 0 is class 1's idle bit
+    if kind == "one-entry-short":
+        return (1,) * (len(classes) - 1)
+    if kind == "one-entry-long":
+        return (1,) * (len(classes) + 1)
+    if kind == "zero-in-last-class":
+        ones[-1] = 0
+    elif kind == "negative":
+        ones[0] = -1
+    elif kind == "backward-on-symmetric-class":
+        ones[symmetric] = BWD
+    return tuple(ones)
+
+
+MALFORMED = ["all-zero", "bleeds-into-next-class", "one-entry-short", "one-entry-long",
+             "zero-in-last-class", "negative", "backward-on-symmetric-class"]
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_refute_rejects_malformed_table(self, classes, kind, mode):
+        with pytest.raises(ValueError, match="view class|mask_choices"):
+            imp.refute(malformed_table(classes, kind), mode)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_validate_certificate_rejects_malformed_table(self, classes, kind):
+        cert = imp.Certificate(imp.UNREFUTED)
+        with pytest.raises(ValueError, match="view class|mask_choices"):
+            imp.validate_certificate(malformed_table(classes, kind), cert, "distributed")
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_support_decision_rejects_malformed_table(self, classes, kind):
+        with pytest.raises(ValueError, match="view class|mask_choices"):
+            imp.support_decision(malformed_table(classes, kind), (1, 1, 1, 0), 0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_report_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            imp.theorem2_report(modes=("sequential",), jobs=jobs)
 
 
 class TestRefuteKnownProtocols:
@@ -409,6 +460,89 @@ class TestSymmetryClosure:
         assert complete >= 5
 
 
+def unpruned_branches(tb, mode):
+    """Per configuration id, every branch that moves a robot, in
+    ``engine.successors`` order, as (required element bits, successor config
+    id, combo): the branch list before dominated branches are dropped."""
+    out = []
+    for cid, c in enumerate(tb.configs):
+        rows = []
+        for activation, outcomes, succ in engine.successors(
+                c, lambda v, cid=cid: tb.options[(cid, v)], mode == "sequential"):
+            if all(dest is None for _, dest, _ in outcomes):
+                continue
+            req = 0
+            for _, _, bit in outcomes:
+                req |= bit
+            rows.append((req, tb.config_id[succ],
+                         (activation, tuple((v, dest) for v, dest, _ in outcomes))))
+        out.append(rows)
+    return out
+
+
+def reference_search(tb, tm, branches):
+    """``_search`` written out over an unpruned branch list: BFS from the
+    initial state, one kept state per symmetry orbit, stopping at the first
+    terminal state (no allowed branch) with an unvisited node."""
+    full = (1 << imp.N) - 1
+    start = tb.initial_cid << imp.N | tb.initial_mask
+    parents = {start: None}
+    seen = {tb.orbit[start]}
+    queue = [start]
+    expanded = 0
+    for state in queue:
+        cid, visited = state >> imp.N, state & full
+        expanded |= tb.orbit_sids[cid]
+        allowed = [(succ_cid, combo) for req, succ_cid, combo in branches[cid] if not req & ~tm]
+        if not allowed and visited != full:
+            return state, parents, expanded
+        for succ_cid, combo in allowed:
+            occupied = sum(1 << v for v, count in enumerate(tb.configs[succ_cid]) if count)
+            succ = succ_cid << imp.N | visited | occupied
+            if tb.orbit[succ] not in seen:
+                seen.add(tb.orbit[succ])
+                parents[succ] = (state, combo)
+                queue.append(succ)
+    return None, parents, expanded
+
+
+class TestDominatedBranches:
+    @pytest.mark.parametrize("mode, kept, total", [("distributed", 280, 696),
+                                                   ("sequential", 80, 80)])
+    def test_kept_branch_counts(self, mode, kept, total):
+        tb = imp._tables()
+        assert sum(map(len, unpruned_branches(tb, mode))) == total
+        assert sum(map(len, tb.combos[mode])) == kept
+
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_only_dominated_branches_are_dropped(self, mode):
+        # The kept branches are the unpruned list in order, less exactly the
+        # branches that an earlier kept branch dominates: same successor, and
+        # a subset of the required bits.
+        tb = imp._tables()
+        for cid, rows in enumerate(unpruned_branches(tb, mode)):
+            kept = []
+            for req, succ_cid, combo in rows:
+                if not any(k_succ == succ_cid and k_req & ~req == 0 for k_req, k_succ, _ in kept):
+                    kept.append((req, succ_cid, combo))
+            got = [(req, succ >> imp.N, combo) for req, succ, _, combo in tb.combos[mode][cid]]
+            assert got == kept, tb.configs[cid]
+            for req, succ, occupied, _ in tb.combos[mode][cid]:
+                assert occupied == sum(1 << v for v, n in enumerate(tb.configs[succ >> imp.N]) if n)
+
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_search_matches_unpruned_bfs(self, classes, mode):
+        tb = imp._tables()
+        branches = unpruned_branches(tb, mode)
+        kinds = set()
+        for index in range(0, imp.protocol_space_size(classes), 50):
+            tm = imp.table_mask(imp.protocol_at(classes, index))
+            got = imp._search(tm, mode)
+            assert got == reference_search(tb, tm, branches), index
+            kinds.add(got[0] is None)
+        assert kinds == {True, False}
+
+
 def forcing_actions(tb, tm, positions):
     """(robot, successor states) of every forcing action of an identity state,
     from the definition: activate one robot until it moves.  An asymmetric
@@ -493,6 +627,51 @@ class TestForcingGame:
                 states = [s for sid, s in enumerate(tb.idstates) if start >> sid & 1]
                 assert ({s for sid, s in enumerate(tb.idstates) if trap >> sid & 1}
                         == reference_trap(tb, tm, states)), index
+
+
+def reference_attractor(tb, tm, trap, goal):
+    """The attractor levels as sets, from the definition: level 0 is the
+    goal, and each next level holds the trap states not yet reached that
+    have a forcing action whose outcomes all lie in the levels so far."""
+    states = [s for sid, s in enumerate(tb.idstates) if trap >> sid & 1]
+    actions = {s: forcing_actions(tb, tm, s) for s in states}
+    reached = {s for sid, s in enumerate(tb.idstates) if goal >> sid & 1}
+    levels = [set(reached)]
+    while new := {s for s in states if s not in reached
+                  and any(succs <= reached for _, succs in actions[s])}:
+        levels.append(new)
+        reached |= new
+    return levels
+
+
+class TestAttractor:
+    def test_matches_set_fixpoint(self, classes):
+        tb = imp._tables()
+        rng = random.Random(10)
+        deepest = 0
+        for index in rng.sample(range(imp.protocol_space_size(classes)), 30):
+            tm = imp.table_mask(imp.protocol_at(classes, index))
+            game = imp._Game(tm)
+            for _ in range(4):
+                trap = rng.getrandbits(64) | rng.getrandbits(64)
+                for goal in (trap, 0, trap & rng.getrandbits(64) & rng.getrandbits(64),
+                             rng.getrandbits(64)):
+                    levels = game.attractor(trap, goal)
+                    as_sets = [{s for sid, s in enumerate(tb.idstates) if level >> sid & 1}
+                               for level in levels]
+                    assert as_sets == reference_attractor(tb, tm, trap, goal), index
+                    deepest = max(deepest, len(levels))
+        assert deepest >= 4
+
+    def test_goal_covering_the_trap_plays_no_round(self, classes):
+        # With nothing left to reach, the attractor returns the goal without
+        # asking which states the scheduler controls.
+        game = imp._Game(imp.table_mask(imp.protocol_at(classes, 308)))
+        game.controlled = None  # any call fails
+        trap = (1 << 64) - 1
+        assert game.attractor(trap, trap) == [trap]
+        assert game.attractor(trap >> 3, trap) == [trap]
+        assert game.attractor(0, 0) == [0]
 
 
 class TestEngineReplay:
