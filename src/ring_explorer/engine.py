@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
-from .ring import Configuration, as_config, format_config, has_tower, occupied_nodes, parse_config
+from .ring import Configuration, as_config, format_config, has_tower, occupied_nodes
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
@@ -139,15 +139,6 @@ class StepRecord(NamedTuple):
     adversary_edges: dict[int, int]
 
     @property
-    def activation_nodes(self) -> dict[int, int]:
-        """Activated robots grouped by node (count per node)."""
-        out: dict[int, int] = {}
-        for r in self.activated:
-            node = self.positions_before[r]
-            out[node] = out.get(node, 0) + 1
-        return out
-
-    @property
     def changed(self) -> bool:
         return self.before != self.after
 
@@ -198,23 +189,6 @@ def trace_to_jsonl(trace: Trace) -> list[str]:
     lines = [json.dumps(trace.header())]
     lines.extend(json.dumps(s.to_json()) for s in trace.steps)
     return lines
-
-
-def read_trace_jsonl(lines: Iterable[str]) -> tuple[dict, list[dict]]:
-    rows = [json.loads(line) for line in lines if line.strip()]
-    if not rows:
-        raise ValueError("empty trace")
-    header, steps = rows[0], rows[1:]
-    for key in ("n", "k", "seed", "policy"):
-        if key not in header:
-            raise ValueError(f"trace header missing {key!r}")
-    return header, steps
-
-
-def trace_configurations(header: dict, steps: list[dict]) -> list[Configuration]:
-    configs = [parse_config(header["initial"])]
-    configs.extend(parse_config(s["config"]) for s in steps)
-    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +384,9 @@ def run(
     )
 
 
-def mrp(trace_or_configs) -> list[Configuration]:
+def mrp(configs: Iterable[Configuration]) -> list[Configuration]:
     """Minimal relevant prefix: the configuration sequence with consecutive
     duplicates collapsed."""
-    if isinstance(trace_or_configs, Trace):
-        configs = trace_or_configs.configurations()
-    else:
-        configs = [as_config(c) for c in trace_or_configs]
     out: list[Configuration] = []
     for c in configs:
         if not out or out[-1] != c:

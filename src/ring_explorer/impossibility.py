@@ -29,10 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from . import protocol as robot_protocol
 from .engine import successors
-from .ring import (as_config, canonical_direction, canonical_form, configurations,
-                   occupied_nodes, view_of)
+from .ring import canonical_direction, canonical_form, configurations, occupied_nodes, view_of
 
 N = 4
 K = 3
@@ -70,15 +68,10 @@ class Certificate:
 ProtocolTable = tuple[int, ...]
 
 
-def view_key(c, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    v = view_of(c, i)
-    return v.as_pair()
-
-
 def enumerate_view_classes(n: int = N, k: int = K) -> list[ViewClass]:
     """All views seen from occupied nodes across every k-robot configuration,
     deduplicated as unordered direction pairs."""
-    keys = {view_key(c, i) for c in configurations(n, k) for i in occupied_nodes(c)}
+    keys = {view_of(c, i).as_pair() for c in configurations(n, k) for i in occupied_nodes(c)}
     return [ViewClass(index=index, view=key, symmetric=key[0] == key[1])
             for index, key in enumerate(sorted(keys))]
 
@@ -163,7 +156,7 @@ class _Tables:
         self.options: dict[tuple[int, int], tuple[tuple[Optional[int], int], ...]] = {}
         for cid, c in enumerate(self.configs):
             for v in occupied_nodes(c):
-                base = 3 * class_by_view[view_key(c, v)]
+                base = 3 * class_by_view[view_of(c, v).as_pair()]
                 direction = canonical_direction(c, v)
                 step = direction or -1
                 back = BACKWARD_BIT if direction else FORWARD_BIT
@@ -352,11 +345,12 @@ class _Game:
                 plus, minus, both = plus | p, minus | m, both | b
             self.moves.append((plus, minus, both))
         self.movers = [plus | minus | both for plus, minus, both in self.moves]
+        self.digits = tb.digits
 
     def forced(self, robot: int, target: int) -> int:
         """States where forcing ``robot`` to move surely lands in ``target``."""
         plus, minus, both = self.moves[robot]
-        w, last, first = _tables().digits[robot]
+        w, last, first = self.digits[robot]
         up = target >> w & ~last | target << (N - 1) * w & last
         down = target << w & ~first | target >> (N - 1) * w & first
         return plus & up | minus & down | both & up & down
@@ -532,11 +526,14 @@ def _node(key) -> int:
 def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> None:
     """Replay a certificate against the table; raises ValueError on any step
     whose outcome the table does not actually allow, on malformed states,
-    and on a malformed table.  Activation nodes may be strings, as a JSON
-    round trip leaves them."""
+    and on a malformed table.  An unrefuted certificate has nothing to
+    replay, so it holds only when ``refute`` finds no refutation either.
+    Activation nodes may be strings, as a JSON round trip leaves them."""
     tb = _tables()
     tm = table_mask(table)
     if cert.kind == UNREFUTED:
+        if refute(table, mode, with_witness=False).kind != UNREFUTED:
+            raise ValueError("table is refutable: the unrefuted certificate is false")
         return
     if cert.witness is None:
         raise ValueError("certificate has no witness to validate")
@@ -661,34 +658,6 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
         serviced.add(robot)
     if serviced != set(range(K)):
         raise ValueError(f"cycle services only robots {sorted(serviced)}")
-
-
-# ---------------------------------------------------------------------------
-# Engine bridge (for statistical replay of forcing transitions)
-# ---------------------------------------------------------------------------
-
-def support_decision(table: ProtocolTable, c, i: int) -> robot_protocol.Decision:
-    """Express one view class's support as an engine decision, when possible.
-
-    Supports containing both directions of an asymmetric view have no
-    single-decision equivalent and raise ValueError, as do a malformed table,
-    an unoccupied node and a configuration other than three robots on four
-    nodes.
-    """
-    tb = _tables()
-    tm = table_mask(table)
-    options = tb.options.get((tb.config_id.get(as_config(c)), i))
-    if options is None:
-        raise ValueError(f"node {i} is not occupied in a three-robot four-ring configuration")
-    (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = options
-    if not tm & (fwd_bit | bwd_bit):
-        return robot_protocol.idle()
-    if fwd_bit == bwd_bit:
-        return robot_protocol.try_move_adversary() if tm & idle else robot_protocol.move_adversary()
-    if tm & fwd_bit and tm & bwd_bit:
-        raise ValueError("support with both directions has no single-decision form")
-    target = fwd if tm & fwd_bit else bwd
-    return robot_protocol.try_move(target) if tm & idle else robot_protocol.move(target)
 
 
 # ---------------------------------------------------------------------------

@@ -108,11 +108,14 @@ def decide(c: Configuration, i: int) -> Decision:
     """The decision of the robots on occupied node ``i`` of snapshot ``c``.
 
     A snapshot outside the domain (not four robots, or n <= 8) raises
-    ProtocolError before an unoccupied ``i`` raises ValueError.
+    ProtocolError before a node outside ``0..n-1`` or an unoccupied ``i``
+    raises ValueError.
     """
     n = len(c)
     if n <= 8 or sum(c) != 4:
         raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
+    if not 0 <= i < n:
+        raise ValueError(f"node index {i} out of range for n={n}")
     if c[i] < 1:
         raise ValueError(f"node {i} is not occupied")
     return _decisions(c)[i]

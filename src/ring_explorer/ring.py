@@ -81,15 +81,6 @@ def mirror(c: Configuration) -> Configuration:
     return tuple(c[(n - j) % n] for j in range(n))
 
 
-def indistinguishable(a: Configuration, b: Configuration) -> bool:
-    """True iff b is a rotation of a or of a's mirror."""
-    if len(a) != len(b):
-        raise ValueError("incompatible rings")
-    if sum(a) != sum(b):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical_form(c: Configuration) -> Configuration:
     """Lexicographically smallest rotation of c or of its mirror.

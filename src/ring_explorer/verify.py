@@ -17,11 +17,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import protocol as default_protocol
 from .engine import (
-    Branch,
     DecideFn,
     OptionsFn,
     SchedulerPolicy,
-    StepRecord,
     Trace,
     decision_outcomes,
     mrp,
@@ -37,7 +35,6 @@ from .ring import (
     find_arrow,
     format_config,
     has_tower,
-    is_final_arrow,
     is_towerless,
     occupied_nodes,
     segments,
@@ -73,9 +70,7 @@ class CheckReport:
         }
 
 
-def _violation_json(v) -> dict:
-    if isinstance(v, StepRecord):
-        return v.to_json() | {"before": format_config(v.before)}
+def _violation_json(v: dict) -> dict:
     return {k: (format_config(x) if isinstance(x, tuple) else x) for k, x in v.items()}
 
 
@@ -91,43 +86,8 @@ def _protocol_options(c: Configuration, decide: DecideFn) -> OptionsFn:
     return options
 
 
-def _branch_record(c: Configuration, branch: Branch) -> StepRecord:
-    """Materialize one branch as a replayable step record: robot ids number
-    the robots in node order, and each node's activated robots are its first."""
-    activation, outcomes, after = branch
-    robots = tuple(v for v, m in enumerate(c) for _ in range(m))
-    next_id = {v: robots.index(v) for v, _ in activation}
-    activated = []
-    coins: dict[int, bool] = {}
-    adversary: dict[int, int] = {}
-    for v, dest, d in outcomes:
-        r = next_id[v]
-        next_id[v] += 1
-        activated.append(r)
-        if d.kind == default_protocol.TRY_MOVE:
-            coins[r] = dest is not None
-        if dest is not None and d.adversary:
-            adversary[r] = dest
-    return StepRecord(
-        t=0,
-        activated=tuple(activated),
-        positions_before=robots,
-        before=c,
-        after=after,
-        coins=coins,
-        adversary_edges=adversary,
-    )
-
-
 def _towerless(n: int, nodes: tuple[int, ...]) -> Configuration:
     return tuple(1 if i in nodes else 0 for i in range(n))
-
-
-def _moved(c: Configuration, node: int, dest: int) -> Configuration:
-    succ = list(c)
-    succ[node] -= 1
-    succ[dest] += 1
-    return tuple(succ)
 
 
 def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configuration:
@@ -162,18 +122,25 @@ def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
 def _check_successors(claim: str, n: int, configs: Iterable[Configuration],
                       decide: DecideFn) -> tuple[CheckReport, int]:
     """Every branch of one step from each configuration, tested with its
-    ``successor_rule``; a branch the rule rejects is a violation.  Returns
-    the report and the number of configurations."""
+    ``successor_rule``; a branch the rule rejects is a violation, recorded as
+    the refuter's witness rows are: the activation as a robot count per node,
+    and each activated robot's ``node`` and destination ``to`` (None when it
+    stays).  Returns the report and the number of configurations."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim=claim)
     count = 0
     for count, c in enumerate(configs, 1):
         allowed = successor_rule(c)
-        for branch in successors(c, _protocol_options(c, decide)):
+        for activation, outcomes, after in successors(c, _protocol_options(c, decide)):
             report.instances_checked += 1
-            if not allowed(branch[2]):
-                report.violations.append(_branch_record(c, branch))
+            if not allowed(after):
+                report.violations.append({
+                    "before": c,
+                    "after": after,
+                    "activation": dict(activation),
+                    "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
+                })
     return report, count
 
 
@@ -205,47 +172,33 @@ def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) 
 
 
 def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
-    """From every non-final arrow, activating the tail grows the arrow by
-    exactly one; non-tail activations change nothing; and a primary arrow
-    reaches the terminal shape in exactly n-4 tail moves."""
+    """Every arrow of size 1..n-3, as decided: the tail of a non-final arrow
+    moves to the node ahead, which grows the arrow by exactly one, and every
+    other robot idles; on the final arrow every robot idles, so it is
+    terminal.  By induction a primary arrow reaches the terminal shape in
+    exactly n-4 tail moves."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim="arrow-growth")
     for tower in range(n):
         for orientation in (1, -1):
-            for size in range(1, n - 3):
+            for size in range(1, n - 2):
                 c = _arrow_config(n, tower, orientation, size)
                 arrow = find_arrow(c)
                 report.instances_checked += 1
                 if arrow is None or arrow.size != size or arrow.tower != tower:
                     report.violations.append({"config": c, "reason": "arrow not recognized"})
                     continue
-                tail = decide(c, arrow.tail)
-                ahead = (arrow.tail - arrow.orientation) % n
-                if tail.kind != default_protocol.MOVE or tail.target != ahead:
-                    report.violations.append({"config": c, "reason": "tail decision"})
+                final = size == n - 3
                 for node in occupied_nodes(c):
-                    if node != arrow.tail and decide(c, node).moves:
-                        report.violations.append({"config": c, "reason": f"node {node} moves"})
-                succ = c if tail.target is None else _moved(c, arrow.tail, tail.target)
-                if not successor_rule(c)(succ):
-                    report.violations.append({"config": c, "reason": "successor not a grown arrow"})
-            # Walk the tail from the primary arrow to the terminal shape.
-            moves = 0
-            c = _arrow_config(n, tower, orientation, 1)
-            while not is_final_arrow(c) and moves <= n:
-                arrow = find_arrow(c)
-                target = None if arrow is None else decide(c, arrow.tail).target
-                if target is None:
-                    break  # the arrow is gone or its tail stays: counted as a violation below
-                c = _moved(c, arrow.tail, target)
-                moves += 1
-            report.instances_checked += 1
-            if moves != n - 4 or not is_final_arrow(c):
-                report.violations.append(
-                    {"tower": tower, "orientation": orientation, "moves": moves,
-                     "reason": f"expected {n - 4} tail moves"}
-                )
+                    d = decide(c, node)
+                    if final or node != arrow.tail:
+                        if d.moves:
+                            report.violations.append({"config": c, "reason": f"node {node} moves"})
+                    elif d.kind != default_protocol.MOVE or d.target != (node - orientation) % n:
+                        report.violations.append({"config": c, "reason": "tail decision"})
+                    elif not successor_rule(c)(_arrow_config(n, tower, orientation, size + 1)):
+                        report.violations.append({"config": c, "reason": "successor not a grown arrow"})
     report.details = {"n": n, "tail_moves_to_terminal": n - 4}
     return report
 
@@ -269,7 +222,7 @@ def check_mrp_bounds(trace: Trace) -> CheckReport:
         raise ValueError("lemma applies to terminating computations")
     n, k = trace.n, trace.k
     bound = n - k + 1
-    prefix = mrp(trace)
+    prefix = mrp(trace.configurations())
     towers = [c for c in prefix if has_tower(c)]
     small = [c for c in prefix if has_small_tower(c, k)]
     distinct = {canonical_form(c) for c in small}
@@ -395,17 +348,3 @@ def campaign(
         max_steps=max_steps,
     )
 
-
-def expected_one_step_instances(n: int, decide: DecideFn = default_protocol.decide) -> int:
-    """Independent recount of the no-tower check's instance space via the
-    product formula: per configuration, prod(1 + outcomes per robot) - 1."""
-    total = 0
-    for nodes in combinations(range(n), PROTOCOL_K):
-        c = _towerless(n, nodes)
-        if has_four_segment(c):
-            continue
-        product = 1
-        for node in nodes:
-            product *= 1 + len(decision_outcomes(n, node, decide(c, node)))
-        total += product - 1
-    return total

@@ -30,3 +30,12 @@ def idle_tail_mutant(c, i):
     if arrow is not None and arrow.size < len(c) - 3 and i == arrow.tail:
         return protocol.idle()
     return protocol.decide(c, i)
+
+
+def final_mover_mutant(c, i):
+    """Termination fault: the final arrow's tail keeps walking, so the
+    arrow that should end the run is not terminal."""
+    arrow = find_arrow(c)
+    if arrow is not None and arrow.size == len(c) - 3 and i == arrow.tail:
+        return protocol.move((arrow.tail - arrow.orientation) % len(c))
+    return protocol.decide(c, i)

@@ -123,3 +123,14 @@ def _protocol_cases():
                          ids=["refuter", "protocol-9"])
 def test_successor_order_pinned(name, cases):
     assert _branches_sha256(cases()) == SUCCESSORS_SHA256[name]
+
+
+# SHA-256 of the stdout of ``verify --n 12 --traces 5 --seed 3``.
+VERIFY_N12_SHA256 = "fbdbf1c85cb3eb85418546b97c4e896f529407d308575aec141670ecc351ff1f"
+
+
+def test_verify_stdout_pinned(capsys):
+    code = main(["verify", "--n", "12", "--traces", "5", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N12_SHA256

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from ring_explorer import engine
+from ring_explorer import engine, protocol
 from ring_explorer import impossibility as imp
-from ring_explorer.ring import canonical_form
+from ring_explorer.ring import canonical_form, view_of
 
 
 def all_view_pairs_oracle():
@@ -34,7 +34,7 @@ def classes():
 
 
 def class_index(classes, config, node):
-    return next(vc.index for vc in classes if vc.view == imp.view_key(config, node))
+    return next(vc.index for vc in classes if vc.view == view_of(config, node).as_pair())
 
 
 def named_table(classes, **supports):
@@ -153,11 +153,6 @@ class TestTableValidation:
         cert = imp.Certificate(imp.UNREFUTED)
         with pytest.raises(ValueError, match="view class|mask_choices"):
             imp.validate_certificate(malformed_table(classes, kind), cert, "distributed")
-
-    @pytest.mark.parametrize("kind", MALFORMED)
-    def test_support_decision_rejects_malformed_table(self, classes, kind):
-        with pytest.raises(ValueError, match="view class|mask_choices"):
-            imp.support_decision(malformed_table(classes, kind), (1, 1, 1, 0), 0)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_report_rejects_fewer_than_one_job(self, jobs):
@@ -384,6 +379,26 @@ class TestCertificateValidation:
                 for step in cert.witness["path"][:-1]:
                     assert sum(step["activation"].values()) == 1
             imp.validate_certificate(table, cert, "sequential")
+
+    @pytest.mark.parametrize("index, mode, valid", [
+        (0, "distributed", False),
+        (0, "sequential", False),
+        (5670, "distributed", False),
+        (5670, "sequential", True),
+    ], ids=["all-idle-distributed", "all-idle-sequential", "5670-distributed",
+            "5670-sequential"])
+    def test_unrefuted_certificate_needs_an_unrefuted_table(self, classes, index, mode, valid):
+        # An unrefuted certificate holds only where ``refute`` finds nothing:
+        # table 0 (all idle) is bad-terminal in both modes, table 5670 only
+        # in distributed mode.
+        table = imp.protocol_at(classes, index)
+        assert (imp.refute(table, mode).kind == imp.UNREFUTED) == valid
+        cert = imp.Certificate(imp.UNREFUTED)
+        if valid:
+            imp.validate_certificate(table, cert, mode)
+        else:
+            with pytest.raises(ValueError, match="refutable"):
+                imp.validate_certificate(table, cert, mode)
 
     def test_random_sample_validates_in_both_modes(self, classes):
         rng = random.Random(11)
@@ -674,6 +689,21 @@ class TestAttractor:
         assert game.attractor(0, 0) == [0]
 
 
+def bridge_decision(table, c, i):
+    """One view class's support as an engine decision, for a support with a
+    single-decision form: idle-only, or moves in at most one direction."""
+    tb = imp._tables()
+    (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(tb.config_id[c], i)]
+    tm = imp.table_mask(table)
+    if not tm & (fwd_bit | bwd_bit):
+        return protocol.idle()
+    if fwd_bit == bwd_bit:
+        return protocol.try_move_adversary() if tm & idle else protocol.move_adversary()
+    assert not (tm & fwd_bit and tm & bwd_bit), "both directions: no single-decision form"
+    target = fwd if tm & fwd_bit else bwd
+    return protocol.try_move(target) if tm & idle else protocol.move(target)
+
+
 class TestEngineReplay:
     def test_forcing_transition_replays_statistically(self, classes):
         # "Activate one robot until it moves" converges to the claimed
@@ -692,7 +722,7 @@ class TestEngineReplay:
             node, dest = row["move"]
 
             def decide(c, i, _table=table):
-                return imp.support_decision(_table, c, i)
+                return bridge_decision(_table, c, i)
 
             sim = engine.Simulation(
                 tuple(config), decide, rng=random.Random(0),
@@ -711,30 +741,3 @@ class TestEngineReplay:
             expected[node] -= 1
             expected[dest] += 1
             assert record.after == tuple(expected)
-
-
-class TestBridge:
-    def test_support_decision_forms(self, classes):
-        c = (1, 1, 1, 0)
-        side = class_index(classes, c, 0)
-        table = [1] * len(classes)
-        table[side] = 3  # {idle, forward}: forward from node 0 is the hole side
-        d = imp.support_decision(tuple(table), c, 0)
-        assert d.kind == "try-move" and d.target == 3
-        table[side] = 6  # both directions: not expressible
-        with pytest.raises(ValueError):
-            imp.support_decision(tuple(table), c, 0)
-
-    @pytest.mark.parametrize("c, i", [((1, 1, 1, 0, 0), 0), ((1, 1, 0, 0), 0), ((1, 1, 1, 0), 3)],
-                             ids=["five-ring", "two-robots", "unoccupied-node"])
-    def test_support_decision_rejects_outside_domain(self, classes, c, i):
-        with pytest.raises(ValueError):
-            imp.support_decision(tuple(1 for _ in classes), c, i)
-
-    def test_middle_move_is_adversary_choice(self, classes):
-        c = (1, 1, 1, 0)
-        middle = class_index(classes, c, 1)
-        table = [1] * len(classes)
-        table[middle] = 2
-        d = imp.support_decision(tuple(table), c, 1)
-        assert d.kind == "move" and d.adversary

@@ -50,6 +50,12 @@ class TestDispatch:
         with pytest.raises(ValueError):
             decide((1, 1, 1, 1, 0, 0, 0, 0, 0), 5)
 
+    @pytest.mark.parametrize("i", [-1, 9, -10])
+    def test_node_out_of_range(self, i):
+        # Node -1 would read the occupied last node through negative indexing.
+        with pytest.raises(ValueError, match="out of range"):
+            decide((1, 1, 1, 0, 0, 0, 0, 0, 1), i)
+
     def test_unreachable_tower_shapes_rejected(self):
         for c in [
             (2, 2, 0, 0, 0, 0, 0, 0, 0),

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from ring_explorer import protocol, verify
-from ring_explorer.engine import SchedulerPolicy, StepRecord, Trace, run, sample_towerless
+from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, run,
+                                  sample_towerless)
 from ring_explorer.ring import configurations, find_arrow, occupied_nodes, parse_config
 from ring_explorer.verify import (
     InvariantViolation,
@@ -20,7 +21,23 @@ from ring_explorer.verify import (
     count_tower_classes,
 )
 
-from mutants import flipped_tail_mutant, idle_tail_mutant, shortest_hole_mutant
+from mutants import (final_mover_mutant, flipped_tail_mutant, idle_tail_mutant,
+                     shortest_hole_mutant)
+
+
+def expected_one_step_instances(n, decide=protocol.decide):
+    """Independent recount of the no-tower check's instance space via the
+    product formula: per configuration, prod(1 + outcomes per robot) - 1."""
+    total = 0
+    for nodes in itertools.combinations(range(n), 4):
+        c = tuple(1 if i in nodes else 0 for i in range(n))
+        if protocol.has_four_segment(c):
+            continue
+        product = 1
+        for node in nodes:
+            product *= 1 + len(decision_outcomes(n, node, decide(c, node)))
+        total += product - 1
+    return total
 
 
 class TestNoTowerOneStep:
@@ -34,7 +51,7 @@ class TestNoTowerOneStep:
 
     def test_instance_count_matches_product_formula(self):
         report = check_no_tower_one_step(9)
-        assert report.instances_checked == verify.expected_one_step_instances(9)
+        assert report.instances_checked == expected_one_step_instances(9)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
@@ -70,7 +87,7 @@ class TestInstanceCounts:
     @pytest.mark.parametrize("n", range(9, 14))
     def test_closed_forms(self, n):
         assert check_no_tower_one_step(n).instances_checked == \
-            verify.expected_one_step_instances(n)
+            expected_one_step_instances(n)
         assert check_four_segment_step(n).instances_checked == 35 * n
         assert check_phase3_monotone(n).instances_checked == 2 * n * (n - 3)
 
@@ -242,9 +259,36 @@ class TestFaultInjection:
         assert not report.passed
 
     def test_idle_tail_mutant_reported_not_raised(self):
-        # The tail's decision has no target: the walk stops and is reported.
+        # Every non-final arrow's tail idles: one tail-decision row each.
         report = check_phase3_monotone(9, decide=idle_tail_mutant)
         assert not report.passed
-        walks = [v for v in report.violations if "moves" in v]
-        assert len(walks) == 9 * 2
-        assert all(v["moves"] == 0 for v in walks)
+        assert len(report.violations) == 2 * 9 * (9 - 4)
+        assert all(v["reason"] == "tail decision" for v in report.violations)
+
+    def test_final_mover_mutant_breaks_termination(self):
+        # The final arrow's tail keeps walking: the final arrow is not
+        # terminal, one row per final arrow, and nothing else is wrong.
+        report = check_phase3_monotone(9, decide=final_mover_mutant)
+        assert len(report.violations) == 2 * 9
+        for v in report.violations:
+            arrow = find_arrow(v["config"])
+            assert arrow.size == 9 - 3
+            assert v["reason"] == f"node {arrow.tail} moves"
+
+    def test_one_step_violation_rows(self):
+        # Each rejected branch is a witness-path row: the activation as a
+        # robot count per node, and every activated robot's destination.
+        report = check_no_tower_one_step(9, decide=shortest_hole_mutant)
+        for v in report.violations:
+            assert set(v) == {"before", "after", "activation", "outcomes"}
+            assert sorted(o["node"] for o in v["outcomes"]) == \
+                sorted(node for node, count in v["activation"].items() for _ in range(count))
+            after = list(v["before"])
+            for o in v["outcomes"]:
+                if o["to"] is not None:
+                    after[o["node"]] -= 1
+                    after[o["to"]] += 1
+            assert tuple(after) == v["after"]
+            assert not verify.successor_rule(v["before"])(v["after"])
+        row = report.to_json()["violations"][0]
+        assert isinstance(row["before"], str) and isinstance(row["after"], str)
