@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impossible", help="three-robot refutation report (n=4, k=3)")
     p.add_argument("--mode", choices=["distributed", "sequential", "both"], default="both")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes")
+                   help="worker processes (at most one per CPU)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_impossible)
     return parser

@@ -25,6 +25,7 @@ every set of them a 64-bit mask, so its fixpoints are a few integer operations.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -678,7 +679,8 @@ def _count_mode(mode: str, lo: int, hi: int) -> tuple[dict, dict]:
 def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
                     jobs: int = 1) -> dict:
     """Refute every support-level protocol in each scheduler mode and report
-    certificate-kind counts with one example certificate per kind."""
+    certificate-kind counts with one example certificate per kind.  The
+    tables are split over ``jobs`` worker processes, at most one per CPU."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tb = _tables()
@@ -693,15 +695,17 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
         "total": total,
         "modes": {},
     }
-    chunk = -(-total // jobs)
+    # One slice of the tables per worker, and no more workers than CPUs.
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = -(-total // workers)
     for mode in modes:
         ranges = [(mode, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        if jobs == 1:
+        if workers == 1:
             parts = list(itertools.starmap(_count_mode, ranges))
         else:
             import multiprocessing
 
-            with multiprocessing.Pool(jobs) as pool:
+            with multiprocessing.Pool(len(ranges)) as pool:
                 parts = pool.starmap(_count_mode, ranges)
         counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
         first: dict[str, int] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -122,32 +122,73 @@ def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
 def _check_successors(claim: str, n: int, configs: Iterable[Configuration],
                       decide: DecideFn) -> tuple[CheckReport, int]:
     """Every branch of one step from each configuration, tested with its
-    ``successor_rule``; a branch the rule rejects is a violation, recorded as
-    the refuter's witness rows are: the activation as a robot count per node,
-    and each activated robot's ``node`` and destination ``to`` (None when it
-    stays).  Returns the report and the number of configurations."""
+    ``successor_rule``.  Returns the report and the number of configurations.
+
+    A branch's successor depends only on where the moving robots land, so
+    each node contributes a multiset of at most its robot count over its
+    moves, and each such combination is built and tested once (``c`` itself
+    among them, which the rule always admits).  ``instances_checked`` is
+    still the number of branches ``engine.successors`` yields: per node, the
+    outcome multisets ``C(L + m, m)`` of its ``m`` robots over ``L`` landing
+    spots, multiplied over nodes, less the empty activation.  Only a
+    configuration with a rejected successor has its branches walked; each
+    rejected branch is a violation, recorded as the refuter's witness rows
+    are: the activation as a robot count per node, and each activated robot's
+    ``node`` and destination ``to`` (None when it stays)."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim=claim)
+    # (node, decision, robots) -> (branch factor, the node's move multisets)
+    node_moves: dict = {}
     count = 0
     for count, c in enumerate(configs, 1):
         allowed = successor_rule(c)
-        for activation, outcomes, after in successors(c, _protocol_options(c, decide)):
-            report.instances_checked += 1
-            if not allowed(after):
-                report.violations.append({
-                    "before": c,
-                    "after": after,
-                    "activation": dict(activation),
-                    "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
-                })
+        branches = 1
+        rows = []
+        for v in occupied_nodes(c):
+            key = (v, decide(c, v), c[v])
+            if key not in node_moves:
+                _, d, m = key
+                spots = decision_outcomes(n, v, d)
+                moves = [(v, dest) for dest in spots if dest is not None]
+                node_moves[key] = (comb(len(spots) + m, m),
+                                   [tuple(move for move in pick if move)
+                                    for pick in combinations_with_replacement([None] + moves, m)])
+            factor, row = node_moves[key]
+            branches *= factor
+            rows.append(row)
+        report.instances_checked += branches - 1
+        for picks in product(*rows):
+            counts = list(c)
+            for moves in picks:
+                for v, dest in moves:
+                    counts[v] -= 1
+                    counts[dest] += 1
+            if not allowed(tuple(counts)):
+                report.violations.extend(_rejected_branches(c, allowed, decide))
+                break
     return report, count
+
+
+def _rejected_branches(c: Configuration, allowed: Callable[[Configuration], bool],
+                       decide: DecideFn) -> Iterator[dict]:
+    """The violation rows of ``c``: every branch whose successor ``allowed``
+    rejects, in ``engine.successors`` order."""
+    for activation, outcomes, after in successors(c, _protocol_options(c, decide)):
+        if not allowed(after):
+            yield {
+                "before": c,
+                "after": after,
+                "activation": dict(activation),
+                "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
+            }
 
 
 def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
     """For every towerless 4-robot configuration without a 4-segment, every
     nonempty activation, coin vector, and adversary resolution: the successor
-    is towerless.  Exhaustive."""
+    is towerless.  Exhaustive: each distinct successor is tested once, and
+    ``instances_checked`` counts the branches."""
     base = comb(n, PROTOCOL_K)
     towerless = (_towerless(n, nodes) for nodes in combinations(range(n), PROTOCOL_K))
     report, checked = _check_successors("no-tower-after-one-step", n,
@@ -164,7 +205,8 @@ def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) 
 def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
     """Every successor of a 4-segment configuration is that configuration or
     the primary arrow on the same four nodes.  Exhaustive over placements,
-    activations, and coin vectors."""
+    activations, and coin vectors: each distinct successor is tested once,
+    and ``instances_checked`` counts the branches."""
     placements = (_towerless(n, tuple((start + j) % n for j in range(4))) for start in range(n))
     report, count = _check_successors("four-segment-successors", n, placements, decide)
     report.details = {"n": n, "placements": count}

@@ -16,6 +16,17 @@ def shortest_hole_mutant(c, i):
     return protocol.decide(c, i)
 
 
+def gap_filler_mutant(c, i):
+    """Gathering fault: in a scatter, a robot next to a one-node hole moves
+    into it.  One robot alone never makes a tower this way; both neighbours
+    of the hole landing in the same step do."""
+    if protocol.phase(c) == "scatter" and c[i]:
+        gaps = [h for h in holes(c) if h.length == 1 and i in h.neighbors]
+        if gaps:
+            return protocol.move(gaps[0].entry_from(i))
+    return protocol.decide(c, i)
+
+
 def flipped_tail_mutant(c, i):
     """Tail-walk fault: the tail steps toward the tower instead of away."""
     arrow = find_arrow(c)

@@ -3,6 +3,8 @@
 import copy
 import itertools
 import json
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -158,6 +160,36 @@ class TestTableValidation:
     def test_report_rejects_fewer_than_one_job(self, jobs):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             imp.theorem2_report(modes=("sequential",), jobs=jobs)
+
+
+class FakePool:
+    """Stands in for ``multiprocessing.Pool``: records its size and runs the
+    work in this process, so no worker process is started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, iterable):
+        return list(itertools.starmap(func, iterable))
+
+
+class TestWorkerPool:
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        report = imp.theorem2_report(modes=("distributed",), jobs=10**6)
+        assert FakePool.sizes == [3]
+        part = report["modes"]["distributed"]
+        assert (part["bad_terminal"], part["forcing"], part["unrefuted"]) == (11121, 16662, 0)
 
 
 class TestRefuteKnownProtocols:

@@ -8,9 +8,10 @@ import pytest
 
 from ring_explorer import protocol, verify
 from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, run,
-                                  sample_towerless)
+                                  sample_towerless, successors)
 from ring_explorer.ring import configurations, find_arrow, occupied_nodes, parse_config
 from ring_explorer.verify import (
+    CheckReport,
     InvariantViolation,
     campaign,
     check_four_segment_step,
@@ -21,13 +22,17 @@ from ring_explorer.verify import (
     count_tower_classes,
 )
 
-from mutants import (final_mover_mutant, flipped_tail_mutant, idle_tail_mutant,
-                     shortest_hole_mutant)
+from mutants import (final_mover_mutant, flipped_tail_mutant, gap_filler_mutant,
+                     idle_tail_mutant, shortest_hole_mutant)
+
+DECIDERS = [protocol.decide, shortest_hole_mutant, gap_filler_mutant, flipped_tail_mutant,
+            idle_tail_mutant, final_mover_mutant]
 
 
 def expected_one_step_instances(n, decide=protocol.decide):
-    """Independent recount of the no-tower check's instance space via the
-    product formula: per configuration, prod(1 + outcomes per robot) - 1."""
+    """The no-tower check's instance count in closed form: per configuration,
+    prod(1 + outcomes per robot) - 1.  The checker counts with the same
+    product, so ``TestOneStepOracle`` counts the branches one by one."""
     total = 0
     for nodes in itertools.combinations(range(n), 4):
         c = tuple(1 if i in nodes else 0 for i in range(n))
@@ -58,6 +63,58 @@ class TestNoTowerOneStep:
             check_no_tower_one_step(8)
 
 
+def reference_check_successors(claim, n, configs, decide):
+    """The one-step checkers' loop before they tested each distinct successor
+    once: every branch of ``engine.successors``, one at a time."""
+    if n <= 8:
+        raise ValueError("protocol domain starts at n=9")
+    report = CheckReport(claim=claim)
+    count = 0
+    for count, c in enumerate(configs, 1):
+        allowed = verify.successor_rule(c)
+        for activation, outcomes, after in successors(c, verify._protocol_options(c, decide)):
+            report.instances_checked += 1
+            if not allowed(after):
+                report.violations.append({
+                    "before": c,
+                    "after": after,
+                    "activation": dict(activation),
+                    "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
+                })
+    return report, count
+
+
+class TestOneStepOracle:
+    """The checkers against the branch-by-branch reference: the same counts,
+    details and violation rows, in the same order."""
+
+    @pytest.mark.parametrize("check", [check_no_tower_one_step, check_four_segment_step],
+                             ids=["no-tower", "four-segment"])
+    @pytest.mark.parametrize("decide", DECIDERS, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_reports_match_branch_walk(self, n, decide, check, monkeypatch):
+        report = check(n, decide=decide)
+        monkeypatch.setattr(verify, "_check_successors", reference_check_successors)
+        expected = check(n, decide=decide)
+        assert report.instances_checked == expected.instances_checked
+        assert report.details == expected.details
+        assert report.violations == expected.violations
+
+    @pytest.mark.parametrize("decide", DECIDERS, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_each_configuration_counts_its_branches(self, n, decide):
+        # Every four-robot configuration in the protocol's domain, arrows
+        # (a node with two robots) included; the reference counts each
+        # branch ``engine.successors`` yields.
+        for c in configurations(n, 4):
+            if protocol.phase(c) == "invalid":
+                continue
+            report, _ = verify._check_successors("one", n, [c], decide)
+            expected, _ = reference_check_successors("one", n, [c], decide)
+            assert report.instances_checked == expected.instances_checked, c
+            assert report.violations == expected.violations, c
+
+
 class TestFourSegmentStep:
     @pytest.mark.parametrize("n", [9, 12])
     def test_passes(self, n):
@@ -84,7 +141,7 @@ class TestInstanceCounts:
     """Closed forms for the three one-step checks' instance counts: at n = 20
     they give the 83,035 / 700 / 680 instances ``verify`` reports."""
 
-    @pytest.mark.parametrize("n", range(9, 14))
+    @pytest.mark.parametrize("n", [*range(9, 14), 20])
     def test_closed_forms(self, n):
         assert check_no_tower_one_step(n).instances_checked == \
             expected_one_step_instances(n)
@@ -248,6 +305,14 @@ class TestFaultInjection:
         report = check_no_tower_one_step(9, decide=shortest_hole_mutant)
         assert not report.passed
         assert report.violations
+
+    def test_gap_filler_mutant_towers_only_on_joint_moves(self):
+        # Both neighbours of a one-node hole move into it: the tower needs
+        # two robots to land together, so a single-robot activation never
+        # makes one, and a checker that tests one move at a time misses it.
+        report = check_no_tower_one_step(9, decide=gap_filler_mutant)
+        assert len(report.violations) == 438
+        assert all(sum(v["activation"].values()) >= 2 for v in report.violations)
 
     def test_flipped_tail_mutant_breaks_campaign(self):
         with pytest.raises((InvariantViolation, protocol.ProtocolError)):
