@@ -9,6 +9,13 @@ so that schedulers can be fair to individual robots and traces are replayable.
 Each step yields a ``StepRecord``: an immutable named tuple whose seven fields
 (``t``, ``activated``, ``positions_before``, ``before``, ``after``, ``coins``,
 ``adversary_edges``) are all required.
+
+Robots are oblivious, so ``decide`` must be a pure function of (configuration,
+node).  That purity also lets the engine memoise, per ``decide``, each
+configuration's step plan: where the robots of each occupied node may land,
+whether a coin decides, and whether the configuration is terminal.  The memo
+is bounded and shared by every run in the process, so a campaign's trials
+reuse the plans of the configurations they revisit.
 """
 
 from __future__ import annotations
@@ -254,9 +261,62 @@ def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -
 # Execution
 # ---------------------------------------------------------------------------
 
+class _StepPlan:
+    """What one step may do from configuration ``c`` under ``decide``: for
+    each occupied node, the nodes its robots may land on and whether a coin
+    can keep them in place (``spots[node]``, from ``decision_outcomes``), and
+    whether ``c`` is terminal.  Filled lazily: ``decide`` is asked about a
+    node only when a step or the terminal test first needs it, and nothing
+    is stored for a node whose ``decide`` raised."""
+
+    __slots__ = ("decide", "c", "spots", "_terminal")
+
+    def __init__(self, decide: DecideFn, c: Configuration):
+        self.decide = decide
+        self.c = c
+        self.spots: list[Optional[tuple[tuple[int, ...], bool]]] = [None] * len(c)
+        self._terminal: Optional[bool] = None
+
+    def fill(self, node: int) -> tuple[tuple[int, ...], bool]:
+        entry = self.spots[node] = _landing(len(self.c), node, self.decide(self.c, node))
+        return entry
+
+    def terminal(self) -> bool:
+        """No robot can move: no occupied node has a landing spot.  Nodes are
+        asked in node order, up to the first that can move."""
+        if self._terminal is None:
+            spots = self.spots
+            terminal = True
+            for v, m in enumerate(self.c):
+                if m and (spots[v] or self.fill(v))[0]:
+                    terminal = False
+                    break
+            self._terminal = terminal
+        return self._terminal
+
+
+@lru_cache(maxsize=1 << 10)
+def _landing(n: int, node: int, d: "default_protocol.Decision") -> tuple[tuple[int, ...], bool]:
+    """The nodes a robot on ``node`` that decided ``d`` may land on, and
+    whether it may also stay (a coin decides when it may do both).  Shared
+    by every plan whose node decided ``d``."""
+    outcomes = decision_outcomes(n, node, d)
+    stay = outcomes[0] is None
+    return tuple(outcomes[1:] if stay else outcomes), stay
+
+
+@lru_cache(maxsize=1 << 13)
+def _step_plan(decide: DecideFn, c: Configuration) -> _StepPlan:
+    """The plan of ``c`` under ``decide``, kept across steps, runs and
+    trials: robots are oblivious, so every visit to ``c`` moves by the same
+    rules.  Bounded: the least recently used plans go first."""
+    return _StepPlan(decide, c)
+
+
 class Simulation:
     """Mutable run state: per-robot positions, the configuration they form,
-    and the visited nodes, all updated from each step's moves."""
+    the visited nodes, all updated from each step's moves, and the step plan
+    of the current configuration."""
 
     def __init__(
         self,
@@ -275,6 +335,7 @@ class Simulation:
             self.positions.extend([node] * count)
         self.k = len(self.positions)
         self._config = c
+        self._plan = _step_plan(decide, c)
         self.visited: set[int] = set(occupied_nodes(c))
         self.t = 0
 
@@ -292,22 +353,20 @@ class Simulation:
         coins: dict[int, bool] = {}
         adversary_edges: dict[int, int] = {}
         moves: dict[int, int] = {}
+        plan = self._plan
         for r in acts:
             node = self.positions[r]
-            decision = self.decide(before, node)
-            outcomes = decision_outcomes(self.n, node, decision)
-            targets = outcomes[1:] if outcomes[0] is None else outcomes
+            targets, stay = plan.spots[node] or plan.fill(node)
             if not targets:
                 continue
-            if len(targets) < len(outcomes):  # staying put is possible: a fair coin decides
+            if stay:  # staying put is possible: a fair coin decides
                 win = self.rng.random() < 0.5
                 coins[r] = win
                 if not win:
                     continue
             if len(targets) == 2:  # either edge: the adversary picks
-                options = tuple(targets)
-                choice = self.adversary(r, before, options)
-                if choice not in options:
+                choice = self.adversary(r, before, targets)
+                if choice not in targets:
                     raise ValueError(f"adversary returned {choice}, not an incident edge")
                 adversary_edges[r] = choice
                 moves[r] = choice
@@ -324,17 +383,17 @@ class Simulation:
                 self.positions[r] = target
             after = self._config = tuple(counts)
             self.visited.update(moves.values())
+            if after != before:
+                self._plan = _step_plan(self.decide, after)
         record = StepRecord(self.t, acts, positions_before, before, after, coins, adversary_edges)
         self.t += 1
         return record
 
 
 def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) -> bool:
-    """No robot moves with positive probability: every decision is idle."""
-    for i, m in enumerate(c):
-        if m and decide(c, i).moves:
-            return False
-    return True
+    """No robot moves with positive probability: no occupied node's decision
+    has a landing spot.  ``run`` reads the same step plan."""
+    return _step_plan(decide, c).terminal()
 
 
 def run(
@@ -350,11 +409,11 @@ def run(
 ) -> Trace:
     """Iterate steps until terminal or max_steps.
 
-    ``decide`` must be a pure function of (configuration, node): termination
-    is checked on the initial configuration and then only after a step that
-    changes the configuration, since an unchanged snapshot keeps its verdict.
-    ``require_towerless`` enforces the problem's initial condition; pass False
-    to replay from a mid-run snapshot such as an arrow.
+    ``decide`` must be a pure function of (configuration, node): each
+    configuration's step plan, its terminal verdict included, is worked out
+    once per ``decide`` and reused by every later step and run that reaches
+    it.  ``require_towerless`` enforces the problem's initial condition;
+    pass False to replay from a mid-run snapshot such as an arrow.
     """
     if rng is None:
         rng = random.Random(seed)
@@ -363,15 +422,15 @@ def run(
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
     steps: list[StepRecord] = []
-    terminated = is_terminal(c, decide)
+    terminated = sim._plan.terminal()
     while not terminated and sim.t < max_steps:
         activation = policy.activation(sim.t, sim.k, rng)
         if activation is None:
             break
-        record = sim.step(activation)
-        steps.append(record)
-        if record.changed:
-            terminated = is_terminal(record.after, decide)
+        steps.append(sim.step(activation))
+        # The plan changes only with the configuration, and an unchanged
+        # plan keeps the verdict it already has.
+        terminated = sim._plan.terminal()
     return Trace(
         n=sim.n,
         k=sim.k,

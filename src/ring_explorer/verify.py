@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
@@ -296,6 +297,13 @@ def count_tower_classes(n: int, k: int = 3) -> int:
 # Run monitoring and campaigns
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 12)
+def _monitor_rule(before: Configuration) -> Callable[[Configuration], bool]:
+    """``successor_rule(before)`` for the run monitor, kept across steps and
+    trials: a campaign's runs revisit the same few thousand configurations."""
+    return successor_rule(before)
+
+
 def check_run_invariants(trace: Trace) -> None:
     """Assert that a run starts from a valid configuration, that every step
     changing the configuration is one ``successor_rule`` allows, and that a
@@ -303,10 +311,11 @@ def check_run_invariants(trace: Trace) -> None:
     if phase(trace.initial) == "invalid":
         raise InvariantViolation(f"initial configuration invalid: {trace.initial}")
     for step in trace.steps:
-        if step.changed and not successor_rule(step.before)(step.after):
+        before, after = step.before, step.after
+        if before != after and not _monitor_rule(before)(after):
             raise InvariantViolation(
-                f"step {step.t}: {phase(step.before)} -> {phase(step.after)} "
-                f"({format_config(step.before)} -> {format_config(step.after)})"
+                f"step {step.t}: {phase(before)} -> {phase(after)} "
+                f"({format_config(before)} -> {format_config(after)})"
             )
     end = phase(trace.steps[-1].after if trace.steps else trace.initial)
     if trace.terminated and end != "final":

@@ -13,6 +13,7 @@ from ring_explorer.engine import (
     SchedulerError,
     SchedulerPolicy,
     ScriptedAdversary,
+    SeededAdversary,
     Simulation,
     StepRecord,
     is_terminal,
@@ -21,8 +22,8 @@ from ring_explorer.engine import (
     sample_towerless,
     trace_to_jsonl,
 )
-from ring_explorer.ring import (canonical_form, configurations, is_final_arrow, occupied_nodes,
-                                parse_config)
+from ring_explorer.ring import (as_config, canonical_form, configurations, is_final_arrow,
+                                occupied_nodes, parse_config)
 
 
 class ScriptedCoins:
@@ -144,6 +145,206 @@ class TestIncrementalState:
                       max_steps=full.step_count)
             assert cut.terminated
             assert cut.steps == full.steps
+
+
+def reference_is_terminal(c, decide):
+    for i, m in enumerate(c):
+        if m and decide(c, i).moves:
+            return False
+    return True
+
+
+def reference_run(initial, policy, *, rng, decide=protocol.decide, adversary=None,
+                  max_steps=engine.DEFAULT_MAX_STEPS):
+    """``Simulation.step`` and ``run`` without step plans: ``decide`` is asked
+    for every activated robot on every step, and the terminal test runs again
+    after every step that changes the configuration.  Returns the steps, the
+    visited nodes and the verdict."""
+    adversary = adversary if adversary is not None else SeededAdversary(rng)
+    c = as_config(initial)
+    n = len(c)
+    positions = [node for node, count in enumerate(c) for _ in range(count)]
+    visited = set(occupied_nodes(c))
+    steps = []
+    terminated = reference_is_terminal(c, decide)
+    while not terminated and len(steps) < max_steps:
+        t = len(steps)
+        activation = policy.activation(t, len(positions), rng)
+        if activation is None:
+            break
+        acts = tuple(sorted(set(activation)))
+        before, positions_before = c, tuple(positions)
+        coins, adversary_edges, moves = {}, {}, {}
+        for r in acts:
+            node = positions[r]
+            outcomes = engine.decision_outcomes(n, node, decide(before, node))
+            targets = outcomes[1:] if outcomes[0] is None else outcomes
+            if not targets:
+                continue
+            if len(targets) < len(outcomes):
+                win = rng.random() < 0.5
+                coins[r] = win
+                if not win:
+                    continue
+            if len(targets) == 2:
+                choice = adversary(r, before, tuple(targets))
+                assert choice in targets
+                adversary_edges[r] = moves[r] = choice
+            else:
+                moves[r] = targets[0]
+        if moves:
+            counts = list(before)
+            for r, target in moves.items():
+                counts[positions[r]] -= 1
+                counts[target] += 1
+                positions[r] = target
+            c = tuple(counts)
+            visited.update(moves.values())
+        steps.append(StepRecord(t, acts, positions_before, before, c, coins, adversary_edges))
+        if c != before:
+            terminated = reference_is_terminal(c, decide)
+    return steps, frozenset(visited), terminated
+
+
+class AskedPolicy:
+    """A policy that records every instant it is asked about, so a run that
+    raises still shows at which step it stopped."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.mode = policy.mode
+        self.asked = []
+
+    def activation(self, t, k, rng):
+        self.asked.append(t)
+        return self.policy.activation(t, k, rng)
+
+
+def recorded(decide):
+    """``decide`` with a log of every ``(configuration, node)`` it is asked."""
+    calls = []
+
+    def logged(c, i):
+        calls.append((c, i))
+        return decide(c, i)
+    return logged, calls
+
+
+def engine_run(initial, policy, **kwargs):
+    trace = run(initial, policy, **kwargs)
+    return trace.steps, trace.visited, trace.terminated
+
+
+def both_runs(initial, policy, seed, decide=protocol.decide, adversary=lambda: None):
+    """The engine's and the reference's outcome from the same start, seed and
+    a fresh adversary each: ``(steps, visited, terminated)`` or the exception
+    raised, with the instants the policy was asked about."""
+    outcomes = []
+    for go in (engine_run, reference_run):
+        asked = AskedPolicy(policy)
+        try:
+            result = go(initial, asked, rng=random.Random(seed), decide=decide,
+                        adversary=adversary())
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        outcomes.append((result, asked.asked))
+    return outcomes
+
+
+ORACLE_POLICIES = [*BOOKKEEPING_POLICIES[:3], SchedulerPolicy("scripted", script=SCRIPT * 40)]
+
+
+class TestStepPlanOracle:
+    """The engine with step plans reproduces the plan-free reference run."""
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
+    @pytest.mark.parametrize("n", [9, 12, 15])
+    def test_seeded_adversary(self, policy, n):
+        for seed in range(4):
+            initial = sample_towerless(n, 4, random.Random(seed))
+            ours, reference = both_runs(initial, policy, seed)
+            assert ours == reference
+            assert isinstance(ours[0][0], list)  # the run did not raise
+            pinned = both_runs(initial, policy, seed,
+                               adversary=lambda: SeededAdversary(random.Random(seed + 99)))
+            assert pinned[0] == pinned[1]
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
+    @pytest.mark.parametrize("n", [9, 12, 15])
+    def test_scripted_adversary(self, policy, n):
+        for seed in range(4):
+            initial = sample_towerless(n, 4, random.Random(seed))
+            steps = reference_run(initial, policy, rng=random.Random(seed))[0]
+            edges = [e for s in steps for _, e in sorted(s.adversary_edges.items())]
+            # The full script replays the run; a short one runs out mid-run.
+            for script in (edges, edges[:len(edges) // 2]):
+                ours, reference = both_runs(initial, policy, seed,
+                                            adversary=lambda: ScriptedAdversary(script))
+                assert ours == reference
+            if edges:
+                assert reference[0] == (SchedulerError, "scripted adversary exhausted")
+
+    def test_plans_do_not_leak_between_decide_functions(self):
+        initial = sample_towerless(12, 4, random.Random(5))
+        policy = SchedulerPolicy("random-subset")
+        results = []
+        for decide in (protocol.decide, mutants.idle_tail_mutant, mutants.flipped_tail_mutant):
+            ours, reference = both_runs(initial, policy, 5, decide=decide)
+            assert ours == reference
+            results.append(ours[0])
+        (steps, _, terminated), (idle_steps, _, idle_terminated), flipped = results
+        assert terminated and is_final_arrow(steps[-1].after)
+        assert idle_terminated and not is_final_arrow(idle_steps[-1].after)
+        assert flipped[0] is protocol.ProtocolError  # the flipped tail builds a tower
+
+
+class TestDecideCalls:
+    """With plans, ``decide`` is asked about each ``(configuration, node)``
+    once, in the order the reference first asks about it."""
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
+    def test_first_asks_in_reference_order(self, policy):
+        for n in (9, 12, 15):
+            for seed in range(3):
+                initial = sample_towerless(n, 4, random.Random(seed))
+                ours, ours_calls = recorded(protocol.decide)
+                theirs, reference_calls = recorded(protocol.decide)
+                run(initial, policy, rng=random.Random(seed), decide=ours)
+                reference_run(initial, policy, rng=random.Random(seed), decide=theirs)
+                assert set(ours_calls) <= set(reference_calls)
+                assert ours_calls == list(dict.fromkeys(reference_calls))
+                # A second run from the same start asks nothing new.
+                asked = len(ours_calls)
+                run(initial, policy, rng=random.Random(seed), decide=ours)
+                assert len(ours_calls) == asked
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
+    def test_raises_at_the_same_step(self, policy):
+        def failing_on(k):
+            """``decide`` raising on the k-th distinct configuration it sees."""
+            order = []
+
+            def decide(c, i):
+                if c not in order:
+                    order.append(c)
+                if order.index(c) == k - 1:
+                    raise protocol.ProtocolError(f"configuration {k}: {c}")
+                return protocol.decide(c, i)
+            return decide
+
+        for seed in range(3):
+            initial = sample_towerless(12, 4, random.Random(seed))
+            logged, calls = recorded(protocol.decide)
+            reference_run(initial, policy, rng=random.Random(seed), decide=logged)
+            distinct = len(dict.fromkeys(c for c, _ in calls))
+            for k in sorted({1, 2, 3, distinct // 2, distinct}):
+                outcomes = []
+                for go in (run, reference_run):
+                    asked = AskedPolicy(policy)
+                    with pytest.raises(protocol.ProtocolError) as raised:
+                        go(initial, asked, rng=random.Random(seed), decide=failing_on(k))
+                    outcomes.append((str(raised.value), asked.asked))
+                assert outcomes[0] == outcomes[1]
 
 
 class TestIsTerminal:
