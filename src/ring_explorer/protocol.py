@@ -11,16 +11,19 @@ into a single block of adjacent nodes, collapse the block's middle into a
 two-robot tower (forming an arrow), then walk the arrow tail around the ring
 until it reaches the node next to the head.
 
-Decisions are computed once per configuration: each regime's rule decides for
-every robot of a snapshot in one pass, and ``decide`` caches each
-(snapshot, node) answer.  Equal decisions are one shared ``Decision`` value.
+Robots are anonymous, so the rules give the same answer, rotated, on every
+rotation of a snapshot.  Each regime's rule decides for every robot of a
+snapshot in one pass, and runs once per representative: the rotation that
+puts the snapshot's first lone robot at node 0.  A bounded memo keeps each
+representative's decisions, which are mapped back to the snapshot's nodes
+once per snapshot; ``decide`` caches each (snapshot, node) answer.  Equal
+decisions are one shared ``Decision`` value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ring import (
     Configuration,
@@ -30,6 +33,7 @@ from .ring import (
     has_tower,
     holes,
     occupied_nodes,
+    rotate,
     segments,
 )
 
@@ -42,8 +46,7 @@ class ProtocolError(Exception):
     """The snapshot is outside the protocol's domain."""
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A robot's compute-phase output.
 
     ``target`` is the neighbor node to move to; it is None for idle decisions
@@ -123,13 +126,36 @@ def decide(c: Configuration, i: int) -> Decision:
 
 @lru_cache(maxsize=1)
 def _decisions(c: Configuration) -> dict[int, Decision]:
+    """Every occupied node's decision: the rules of ``c``'s representative
+    rotation, whose node 0 is ``c``'s first lone robot, with each node and
+    target moved back by that shift.  Callers ask about one snapshot's nodes
+    back to back, so one entry is cached."""
+    try:
+        shift = c.index(1)
+    except ValueError:  # no lone robot: a tower outside an arrow, which the rules reject
+        shift = 0
+    n = len(c)
+    return {(v + shift) % n: _shifted(d, shift, n)
+            for v, d in _rules(rotate(c, shift)).items()}
+
+
+def _shifted(d: Decision, shift: int, n: int) -> Decision:
+    """``d`` with its target, if it names one, ``shift`` nodes further on."""
+    if d.target is None:
+        return d
+    return (move if d.kind == MOVE else try_move)((d.target + shift) % n)
+
+
+@lru_cache(maxsize=1 << 14)
+def _rules(c: Configuration) -> dict[int, Decision]:
     """Every occupied node's decision, by the snapshot's phase.
 
     Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
     formation rule, an arrow to the tail walk, a scatter to the gathering
     rules; each rule names its movers, and every other robot idles.  A tower
-    outside an arrow is rejected: those snapshots are unreachable.  Callers
-    ask about one snapshot's nodes back to back, so one entry is cached.
+    outside an arrow is rejected: those snapshots are unreachable.  Kept for
+    the representatives ``_decisions`` asks about; ``_rules.__wrapped__`` is
+    the rules with no memo.
     """
     kind = phase(c)
     if kind == "invalid":

@@ -35,7 +35,6 @@ from .ring import (
     configurations,
     find_arrow,
     format_config,
-    has_tower,
     is_towerless,
     occupied_nodes,
     segments,
@@ -88,7 +87,10 @@ def _protocol_options(c: Configuration, decide: DecideFn) -> OptionsFn:
 
 
 def _towerless(n: int, nodes: tuple[int, ...]) -> Configuration:
-    return tuple(1 if i in nodes else 0 for i in range(n))
+    c = [0] * n
+    for i in nodes:
+        c[i] = 1
+    return tuple(c)
 
 
 def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configuration:
@@ -266,14 +268,22 @@ def check_mrp_bounds(trace: Trace) -> CheckReport:
     n, k = trace.n, trace.k
     bound = n - k + 1
     prefix = mrp(trace.configurations())
-    towers = [c for c in prefix if has_tower(c)]
-    small = [c for c in prefix if has_small_tower(c, k)]
-    distinct = {canonical_form(c) for c in small}
+    towers = small = 0
+    distinct = set()
+    for c in prefix:
+        top = max(c)
+        if top >= 2:
+            towers += 1
+            # Every configuration holds all k robots, so a tower of k leaves
+            # no other node occupied: it has a small tower iff 2 <= max < k.
+            if top < k:
+                small += 1
+                distinct.add(canonical_form(c))
     report = CheckReport(claim="mrp-lower-bounds", instances_checked=4)
     measured = {
         "mrp_length": len(prefix),
-        "with_tower": len(towers),
-        "with_small_tower": len(small),
+        "with_tower": towers,
+        "with_small_tower": small,
         "distinguishable_small_tower": len(distinct),
     }
     for name, value in measured.items():

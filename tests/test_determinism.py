@@ -134,3 +134,16 @@ def test_verify_stdout_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N12_SHA256
+
+
+# SHA-256 of the stdout of ``verify --n 20 --traces 25 --seed 0``, the size
+# the benchmark runs: shifts of up to 19 nodes between a snapshot and its
+# representative rotation only occur at large n.
+VERIFY_N20_SHA256 = "9549a476dfb3ba76bc544006dcf03edf418076267bbc263d89092e2cf6d531ad"
+
+
+def test_verify_n20_stdout_pinned(capsys):
+    code = main(["verify", "--n", "20", "--traces", "25", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N20_SHA256

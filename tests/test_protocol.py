@@ -7,7 +7,16 @@ import pytest
 
 from ring_explorer import protocol
 from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
-from ring_explorer.ring import find_arrow, mirror, rotate, segments
+from ring_explorer.ring import configurations, find_arrow, mirror, occupied_nodes, rotate, segments
+
+# The rules with no memo and no rotation: ``decide`` answers from the rules
+# of a representative rotation, so the anonymity tests and the oracle below
+# read the rules themselves.
+direct_rules = protocol._rules.__wrapped__
+
+
+def direct(c, i):
+    return direct_rules(c)[i]
 
 
 def towerless_configs(n, k=4):
@@ -205,17 +214,17 @@ class TestAnonymity:
     def test_rotation_equivariance(self, n):
         for c in itertools.chain(towerless_configs(n), arrow_configs(n)):
             for i in (i for i in range(n) if c[i]):
-                base = decide(c, i)
+                base = direct(c, i)
                 for r in (1, 3, n - 1):
                     rotated = rotate(c, r)
-                    assert decide(rotated, (i - r) % n) == shifted(base, r, n)
+                    assert direct(rotated, (i - r) % n) == shifted(base, r, n)
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_mirror_equivariance(self, n):
         for c in itertools.chain(towerless_configs(n), arrow_configs(n)):
             m = mirror(c)
             for i in (i for i in range(n) if c[i]):
-                assert decide(m, (-i) % n) == reflected(decide(c, i), n)
+                assert direct(m, (-i) % n) == reflected(direct(c, i), n)
 
     def test_movers_target_free_distinct_nodes(self):
         # In any towerless non-4-segment snapshot every mover heads for a free
@@ -236,3 +245,29 @@ class TestAnonymity:
                 assert c[d.target] == 0
                 targets.append(d.target)
             assert len(targets) == len(set(targets))
+
+
+class TestRepresentativeMemo:
+    """``decide`` runs the rules once per representative rotation and maps
+    the answer back; the rules run directly on the snapshot are the oracle."""
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_decide_matches_direct_rules(self, n):
+        for c in configurations(n, 4):
+            try:
+                expected = direct_rules(c)
+            except ProtocolError:
+                for i in occupied_nodes(c):
+                    with pytest.raises(ProtocolError):
+                        decide(c, i)
+                continue
+            assert sorted(expected) == list(occupied_nodes(c))
+            for i in occupied_nodes(c):
+                assert decide(c, i) == expected[i], (c, i)
+
+    def test_decisions_keep_their_fields(self):
+        d = protocol.try_move(3)
+        assert repr(d) == "Decision(kind='try-move', target=3, adversary=False)"
+        assert (d.kind, d.target, d.adversary, d.moves) == (TRY_MOVE, 3, False, True)
+        assert protocol.Decision(IDLE) == protocol.idle() and not protocol.idle().moves
+        assert protocol.move_adversary() == protocol.Decision(MOVE, None, adversary=True)

@@ -7,9 +7,10 @@ from math import comb
 import pytest
 
 from ring_explorer import protocol, verify
-from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, run,
+from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, mrp, run,
                                   sample_towerless, successors)
-from ring_explorer.ring import configurations, find_arrow, occupied_nodes, parse_config
+from ring_explorer.ring import (canonical_form, configurations, find_arrow, has_tower,
+                                occupied_nodes, parse_config)
 from ring_explorer.verify import (
     CheckReport,
     InvariantViolation,
@@ -170,6 +171,32 @@ class TestMrpBounds:
         report = check_mrp_bounds(trace)
         assert report.passed
         assert report.details["required"] == n - 3
+
+    @pytest.mark.parametrize("configs", [
+        list(configurations(5, 4)),  # every shape, the tower of all four included
+        [(1, 1, 1, 1, 0, 0, 0, 0, 0), (0, 2, 1, 1, 0, 0, 0, 0, 0), (0, 0, 4, 0, 0, 0, 0, 0, 0),
+         (0, 0, 4, 0, 0, 0, 0, 0, 0), (0, 0, 3, 1, 0, 0, 0, 0, 0)],  # too short: violations
+    ], ids=["all-n5", "short-n9"])
+    def test_report_matches_separate_tower_scans(self, configs):
+        # Forged sequential runs: the report equals one built from a has_tower
+        # scan and a has_small_tower scan of the collapsed sequence.
+        n, k = len(configs[0]), 4
+        steps = [StepRecord(t, (0,), (), before, after, {}, {})
+                 for t, (before, after) in enumerate(zip(configs, configs[1:]))]
+        trace = Trace(n, k, "round-robin", None, configs[0], steps, frozenset(range(n)), True)
+        prefix = mrp(configs)
+        small = [c for c in prefix if verify.has_small_tower(c, k)]
+        measured = {
+            "mrp_length": len(prefix),
+            "with_tower": sum(1 for c in prefix if has_tower(c)),
+            "with_small_tower": len(small),
+            "distinguishable_small_tower": len({canonical_form(c) for c in small}),
+        }
+        bound = n - k + 1
+        report = check_mrp_bounds(trace)
+        assert report.details == {"n": n, "k": k, "required": bound, **measured}
+        assert report.violations == [{"bound": name, "value": value, "required": bound}
+                                     for name, value in measured.items() if value < bound]
 
     def test_rejects_non_sequential(self):
         trace = run((1, 1, 1, 1, 0, 0, 0, 0, 0), SchedulerPolicy("random-subset"), seed=1)
