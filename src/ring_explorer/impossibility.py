@@ -18,8 +18,13 @@ activates singletons.  States are (configuration, visited-set) pairs.
 Transitions commute with the ring symmetries, so the search expands one
 concrete state per symmetry orbit, and every witness path is a concrete run
 from the initial state: configuration (1, 1, 1, 0) with nodes 0, 1, 2 visited.
+The branches a table allows from a configuration depend only on its move bits
+there, so the search reads them from a memo filled on first need, one entry
+per (mode, configuration, move bits).
 The forcing game runs over the 64 identity states (the node of each robot),
 every set of them a 64-bit mask, so its fixpoints are a few integer operations.
+A table's game is the OR of one packed int per view class, picked by the
+class's support, split into one mask per robot and kind of forcing action.
 """
 
 from __future__ import annotations
@@ -139,6 +144,14 @@ def _bits(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class _Tables:
+    """The table-independent transition structure of three robots on the
+    four-ring: view classes, configurations, each robot's options, the kept
+    branches per configuration (``combos``), the symmetry orbits, and the
+    forcing game packed per view class and support field (``game``).
+    ``allowed`` memoises, per mode and configuration, the branches that a
+    table's move bits there allow; ``allowed_branches`` fills an entry when
+    ``_search`` first needs it."""
+
     def __init__(self) -> None:
         self.classes = enumerate_view_classes()
         class_by_view = {vc.view: vc.index for vc in self.classes}
@@ -178,6 +191,8 @@ class _Tables:
             mode: [self._combos_for(cid, mode == "sequential") for cid in range(len(self.configs))]
             for mode in ("distributed", "sequential")
         }
+        self.allowed: dict[str, list[dict[int, list]]] = {
+            mode: [{} for _ in self.configs] for mode in self.combos}
 
         # Orbit number of every state ``cid << N | visited`` under the ring
         # symmetries: configuration and visited set are read node by node and
@@ -197,22 +212,25 @@ class _Tables:
         self.orbit_sids = [sum(1 << sid for sid, scid in enumerate(self.idstate_cid)
                                if self.canonical_cid[scid] == self.canonical_cid[cid])
                            for cid in range(len(self.configs))]
-        # The forcing game per robot, view class and 3-bit support field of
-        # that class: the states where the field makes the robot's forcing
-        # action a move to the next node, to the previous node (a symmetric
-        # view has both), or either way at the mover's choice.
-        self.game = [[[[0, 0, 0] for _ in range(8)] for _ in self.classes] for _ in range(K)]
+        # The forcing game per view class and 3-bit support field of that
+        # class, packed in one int: bits 64 * (3r + j) onward hold the states
+        # where the field makes robot r's forcing action a move of kind j: to
+        # the next node (j = 0), to the previous node (j = 1; a symmetric view
+        # has both), or either way at the mover's choice (j = 2).
+        self.game = [[0] * 8 for _ in self.classes]
         for sid, positions in enumerate(self.idstates):
             for r, v in enumerate(positions):
                 (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = self.options[(self.idstate_cid[sid], v)]
                 shift = idle.bit_length() - 1
-                for field, kinds in enumerate(self.game[r][shift // 3]):
+                per_field = self.game[shift // 3]
+                at = sid + 64 * 3 * r  # sid's bit in robot r's kind-0 word
+                for field in range(8):
                     on = field << shift & (fwd_bit | bwd_bit)
                     for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
                         if on == bit:
-                            kinds[0 if dest == (v + 1) % N else 1] |= 1 << sid
+                            per_field[field] |= 1 << at + (0 if dest == (v + 1) % N else 64)
                     if fwd_bit != bwd_bit and on == fwd_bit | bwd_bit:
-                        kinds[2] |= 1 << sid
+                        per_field[field] |= 1 << at + 128
         # Per robot: its digit's weight in sid, and the states with it on the
         # last and on the first node, where a one-node move wraps around the
         # ring; ``_Game.forced`` shifts state masks by these.
@@ -223,6 +241,18 @@ class _Tables:
 
         self.initial_cid = self.config_id[(1, 1, 1, 0)]
         self.initial_mask = 0b0111
+
+    def allowed_branches(self, mode: str, cid: int, key: int) -> list[tuple[int, tuple]]:
+        """The branches from ``cid`` that a table with ``tm & config_moves[cid]
+        == key`` allows, as (successor config id << N | successor occupied-node
+        mask, combo), in ``combos`` order, memoised in ``allowed``.  A kept
+        branch requires move bits only (one that also needs an idle bit is
+        dropped as dominated by the same moves without the idle robots), so
+        ``key`` decides which are allowed."""
+        branches = [(succ_cid | succ_occ, combo)
+                    for req, succ_cid, succ_occ, combo in self.combos[mode][cid] if req & ~key == 0]
+        self.allowed[mode][cid][key] = branches
+        return branches
 
     def _combos_for(self, cid: int, sequential: bool) -> list[tuple]:
         # A branch is dropped when an earlier kept branch has the same
@@ -267,7 +297,8 @@ def _tables() -> _Tables:
 def _search(tm: int, mode: str):
     """BFS over states ``cid << N | visited`` from the initial state along
     every positive-probability transition the table allows, expanding the
-    first state reached in each symmetry orbit.
+    first state reached in each symmetry orbit.  The branches a state may
+    take are read from ``_Tables.allowed``; a state with none is terminal.
 
     Returns (bad_state, parents, expanded): bad_state is the first terminal
     state found with incomplete coverage (None when absent), parents maps the
@@ -276,8 +307,8 @@ def _search(tm: int, mode: str):
     configuration shares an orbit with a popped state's.
     """
     tb = _tables()
-    combos = tb.combos[mode]
-    orbit = tb.orbit
+    memo = tb.allowed[mode]
+    config_moves, orbit_sids, orbit = tb.config_moves, tb.orbit_sids, tb.orbit
     start = tb.initial_cid << N | tb.initial_mask
     parents: dict[int, Optional[tuple]] = {start: None}
     seen = 1 << orbit[start]
@@ -285,16 +316,18 @@ def _search(tm: int, mode: str):
     expanded = 0
     for state in queue:
         cid = state >> N
-        expanded |= tb.orbit_sids[cid]
-        if tb.config_moves[cid] & tm == 0:
-            if state & FULL_MASK != FULL_MASK:
+        expanded |= orbit_sids[cid]
+        key = tm & config_moves[cid]
+        branches = memo[cid].get(key)
+        if branches is None:
+            branches = tb.allowed_branches(mode, cid, key)
+        visited = state & FULL_MASK
+        if not branches:
+            if visited != FULL_MASK:
                 return state, parents, expanded
             continue
-        visited = state & FULL_MASK
-        for req, succ_cid, succ_occ, combo in combos[cid]:
-            if req & ~tm:
-                continue
-            succ = succ_cid | visited | succ_occ
+        for succ_base, combo in branches:
+            succ = succ_base | visited
             bit = 1 << orbit[succ]
             if not seen & bit:
                 seen |= bit
@@ -329,22 +362,24 @@ def _path_witness(state: int, parents: dict) -> list[dict]:
 # Forcing traps
 # ---------------------------------------------------------------------------
 
+_WORD = (1 << 64) - 1  # one bit per identity state
+
+
 class _Game:
     """The forcing game of one table, every set of identity states a 64-bit
-    mask.  Per robot, ``moves`` holds the states of each kind of forcing
-    action as in ``_Tables.game``, and ``movers`` their union: outside it the
-    robot's support is idle-only."""
+    mask.  The OR of ``_Tables.game`` over the table's view-class fields
+    holds all robots' masks, split off here: per robot, ``moves`` holds the
+    states where its forcing action moves to the next node, to the previous
+    node, or either way at the mover's choice, and ``movers`` their union:
+    outside it the robot's support is idle-only."""
 
     def __init__(self, tm: int) -> None:
         tb = _tables()
-        fields = [tm >> 3 * i & 7 for i in range(len(tb.classes))]
-        self.moves = []
-        for per_class in tb.game:
-            plus = minus = both = 0
-            for per_field, field in zip(per_class, fields):
-                p, m, b = per_field[field]
-                plus, minus, both = plus | p, minus | m, both | b
-            self.moves.append((plus, minus, both))
+        packed = 0
+        for i, per_field in enumerate(tb.game):
+            packed |= per_field[tm >> 3 * i & 7]
+        words = [packed >> 64 * j & _WORD for j in range(3 * K)]
+        self.moves = [tuple(words[3 * r:3 * r + 3]) for r in range(K)]
         self.movers = [plus | minus | both for plus, minus, both in self.moves]
         self.digits = tb.digits
 

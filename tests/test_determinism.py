@@ -36,7 +36,8 @@ CAMPAIGN_11_60_SEED_5 = {
     },
 }
 
-# SHA-256 of the stdout of ``simulate --n 13 --seed <seed> --policy <policy>``.
+# SHA-256 of the stdout of ``simulate --n 13 --seed <seed> --policy <policy>
+# --max-steps 1000``.
 SIMULATE_N13_SHA256 = {
     ("round-robin", 1): "de390ade172a940c4f66c1626a69edd9ac22b81716b0669ff0a68a473fffeb1f",
     ("round-robin", 2): "15fe3be91f0c5785141bd0bbbf8ff6aa22538cadfa3578590ea931cf406b1291",
@@ -58,7 +59,10 @@ def test_campaign_stats_pinned(policy):
 
 @pytest.mark.parametrize("policy,seed", sorted(SIMULATE_N13_SHA256))
 def test_simulate_stdout_pinned(capsys, policy, seed):
-    code = main(["simulate", "--n", "13", "--seed", str(seed), "--policy", policy])
+    # The runs end within 85 stdout lines; the step limit makes a protocol
+    # that stops terminating fail here quickly instead of after 10**6 steps.
+    code = main(["simulate", "--n", "13", "--seed", str(seed), "--policy", policy,
+                 "--max-steps", "1000"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_N13_SHA256[(policy, seed)]

@@ -590,6 +590,48 @@ class TestDominatedBranches:
         assert kinds == {True, False}
 
 
+def submasks(mask):
+    """Every submask of ``mask``, ``mask`` itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+class TestAllowedBranches:
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_memo_is_the_kept_combos_filtered_by_the_key(self, mode):
+        # For every key a table can have at a configuration, the memo entry is
+        # the kept branches the key allows, in order.  A kept branch needs move
+        # bits only, so the key decides it; and the entry is empty exactly
+        # when the key is 0, where the table gives the configuration no move.
+        tb = imp._Tables()
+        for cid, rows in enumerate(tb.combos[mode]):
+            moves = tb.config_moves[cid]
+            assert all(req & ~moves == 0 for req, _, _, _ in rows), tb.configs[cid]
+            for key in submasks(moves):
+                expected = [(succ_cid | succ_occ, combo)
+                            for req, succ_cid, succ_occ, combo in rows if req & ~key == 0]
+                assert tb.allowed_branches(mode, cid, key) == expected, (tb.configs[cid], key)
+                assert tb.allowed[mode][cid][key] == expected
+                assert bool(expected) == bool(key)
+
+    def test_search_does_not_depend_on_table_order(self, classes, monkeypatch):
+        # The memo fills in the order tables arrive; a memo keyed on too
+        # little would hand one table's branches to another.
+        masks = [imp.table_mask(imp.protocol_at(classes, index))
+                 for index in range(0, imp.protocol_space_size(classes), 7)]
+        shuffled = random.Random(15).sample(masks, len(masks))
+        results = []
+        for order in (masks, shuffled):
+            monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+            results.append({(tm, mode): imp._search(tm, mode)
+                            for tm in order for mode in ("distributed", "sequential")})
+        assert results[0] == results[1]
+
+
 def forcing_actions(tb, tm, positions):
     """(robot, successor states) of every forcing action of an identity state,
     from the definition: activate one robot until it moves.  An asymmetric
@@ -674,6 +716,47 @@ class TestForcingGame:
                 states = [s for sid, s in enumerate(tb.idstates) if start >> sid & 1]
                 assert ({s for sid, s in enumerate(tb.idstates) if trap >> sid & 1}
                         == reference_trap(tb, tm, states)), index
+
+
+def unpacked_game(tb):
+    """The forcing game per robot, view class and support field, as the
+    (plus, minus, both) masks of the states where the field makes the robot's
+    forcing action a move to the next node, to the previous node, or either
+    way at the mover's choice."""
+    game = [[[[0, 0, 0] for _ in range(8)] for _ in tb.classes] for _ in range(3)]
+    for sid, positions in enumerate(tb.idstates):
+        for r, v in enumerate(positions):
+            (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = tb.options[(tb.idstate_cid[sid], v)]
+            shift = idle.bit_length() - 1
+            for field, kinds in enumerate(game[r][shift // 3]):
+                on = field << shift & (fwd_bit | bwd_bit)
+                for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
+                    if on == bit:
+                        kinds[0 if dest == (v + 1) % 4 else 1] |= 1 << sid
+                if fwd_bit != bwd_bit and on == fwd_bit | bwd_bit:
+                    kinds[2] |= 1 << sid
+    return game
+
+
+class TestPackedGame:
+    def test_moves_match_the_per_robot_fold(self, classes):
+        # The per-robot masks folded over the table's 7 fields (21 lookups
+        # per table) give the moves and movers the packed game splits off.
+        tb = imp._tables()
+        game = unpacked_game(tb)
+        for index in range(0, imp.protocol_space_size(classes), 7):
+            tm = imp.table_mask(imp.protocol_at(classes, index))
+            fields = [tm >> 3 * i & 7 for i in range(len(tb.classes))]
+            moves = []
+            for per_class in game:
+                plus = minus = both = 0
+                for per_field, field in zip(per_class, fields):
+                    p, m, b = per_field[field]
+                    plus, minus, both = plus | p, minus | m, both | b
+                moves.append((plus, minus, both))
+            got = imp._Game(tm)
+            assert got.moves == moves, index
+            assert got.movers == [plus | minus | both for plus, minus, both in moves], index
 
 
 def reference_attractor(tb, tm, trap, goal):
