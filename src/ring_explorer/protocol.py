@@ -16,7 +16,8 @@ rotation of a snapshot.  Each regime's rule decides for every robot of a
 snapshot in one pass, and runs once per representative: the rotation that
 puts the snapshot's first lone robot at node 0.  A bounded memo keeps each
 representative's decisions, which are mapped back to the snapshot's nodes
-once per snapshot; ``decide`` caches each (snapshot, node) answer.  Equal
+once per snapshot, after the domain check; ``decide`` reads one node's
+answer from that map and keeps no (snapshot, node) cache of its own.  Equal
 decisions are one shared ``Decision`` value.
 """
 
@@ -106,35 +107,37 @@ def phase(c: Configuration) -> str:
     return "four-segment" if has_four_segment(c) else "scatter"
 
 
-@lru_cache(maxsize=1 << 16)
 def decide(c: Configuration, i: int) -> Decision:
     """The decision of the robots on occupied node ``i`` of snapshot ``c``.
 
     A snapshot outside the domain (not four robots, or n <= 8) raises
     ProtocolError before a node outside ``0..n-1`` or an unoccupied ``i``
-    raises ValueError.
+    raises ValueError.  Nothing is cached per (snapshot, node): the answer
+    is read from ``_decisions``, which checks the domain once per snapshot.
     """
+    decisions = _decisions(c)
+    if i in decisions:
+        return decisions[i]
     n = len(c)
-    if n <= 8 or sum(c) != 4:
-        raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range for n={n}")
-    if c[i] < 1:
-        raise ValueError(f"node {i} is not occupied")
-    return _decisions(c)[i]
+    raise ValueError(f"node {i} is not occupied")
 
 
 @lru_cache(maxsize=1)
 def _decisions(c: Configuration) -> dict[int, Decision]:
     """Every occupied node's decision: the rules of ``c``'s representative
     rotation, whose node 0 is ``c``'s first lone robot, with each node and
-    target moved back by that shift.  Callers ask about one snapshot's nodes
-    back to back, so one entry is cached."""
+    target moved back by that shift.  A snapshot outside the domain raises
+    ProtocolError.  Callers ask about one snapshot's nodes back to back, so
+    one entry is cached."""
+    n = len(c)
+    if n <= 8 or sum(c) != 4:
+        raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
     try:
         shift = c.index(1)
     except ValueError:  # no lone robot: a tower outside an arrow, which the rules reject
         shift = 0
-    n = len(c)
     return {(v + shift) % n: _shifted(d, shift, n)
             for v, d in _rules(rotate(c, shift)).items()}
 

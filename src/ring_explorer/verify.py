@@ -28,7 +28,7 @@ from .engine import (
     sample_towerless,
     successors,
 )
-from .protocol import Decision, has_four_segment, phase
+from .protocol import Decision, phase
 from .ring import (
     Configuration,
     canonical_form,
@@ -122,10 +122,13 @@ def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
     return allowed.__contains__
 
 
-def _check_successors(claim: str, n: int, configs: Iterable[Configuration],
+def _check_successors(claim: str, n: int,
+                      cases: Iterable[tuple[Configuration, Callable[[Configuration], bool]]],
                       decide: DecideFn) -> tuple[CheckReport, int]:
-    """Every branch of one step from each configuration, tested with its
-    ``successor_rule``.  Returns the report and the number of configurations.
+    """Every branch of one step from each ``(configuration, rule)`` pair,
+    tested with the pair's rule: ``successor_rule(configuration)``, or a test
+    the caller knows to be the same, so that no configuration is classified
+    twice.  Returns the report and the number of pairs.
 
     A branch's successor depends only on where the moving robots land, so
     each node contributes a multiset of at most its robot count over its
@@ -144,8 +147,7 @@ def _check_successors(claim: str, n: int, configs: Iterable[Configuration],
     # (node, decision, robots) -> (branch factor, the node's move multisets)
     node_moves: dict = {}
     count = 0
-    for count, c in enumerate(configs, 1):
-        allowed = successor_rule(c)
+    for count, (c, allowed) in enumerate(cases, 1):
         branches = 1
         rows = []
         for v in occupied_nodes(c):
@@ -187,15 +189,25 @@ def _rejected_branches(c: Configuration, allowed: Callable[[Configuration], bool
             }
 
 
+def _four_segments(n: int) -> list[tuple[int, ...]]:
+    """The sorted nodes of each of the n 4-segments, in start order."""
+    return [tuple(sorted((start + j) % n for j in range(PROTOCOL_K))) for start in range(n)]
+
+
 def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
     """For every towerless 4-robot configuration without a 4-segment, every
     nonempty activation, coin vector, and adversary resolution: the successor
     is towerless.  Exhaustive: each distinct successor is tested once, and
-    ``instances_checked`` counts the branches."""
+    ``instances_checked`` counts the branches.
+
+    The configurations are the towerless placements less the n 4-segments,
+    so each one is a scatter, and ``is_towerless`` (the claim) is exactly
+    its ``successor_rule``."""
     base = comb(n, PROTOCOL_K)
-    towerless = (_towerless(n, nodes) for nodes in combinations(range(n), PROTOCOL_K))
-    report, checked = _check_successors("no-tower-after-one-step", n,
-                                        (c for c in towerless if not has_four_segment(c)), decide)
+    skipped = set(_four_segments(n))
+    scatters = ((_towerless(n, nodes), is_towerless)
+                for nodes in combinations(range(n), PROTOCOL_K) if nodes not in skipped)
+    report, checked = _check_successors("no-tower-after-one-step", n, scatters, decide)
     report.details = {
         "n": n,
         "base_configurations": base,
@@ -210,8 +222,9 @@ def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) 
     the primary arrow on the same four nodes.  Exhaustive over placements,
     activations, and coin vectors: each distinct successor is tested once,
     and ``instances_checked`` counts the branches."""
-    placements = (_towerless(n, tuple((start + j) % n for j in range(4))) for start in range(n))
-    report, count = _check_successors("four-segment-successors", n, placements, decide)
+    placements = (_towerless(n, nodes) for nodes in _four_segments(n))
+    report, count = _check_successors("four-segment-successors", n,
+                                      ((c, successor_rule(c)) for c in placements), decide)
     report.details = {"n": n, "placements": count}
     return report
 

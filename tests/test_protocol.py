@@ -6,8 +6,10 @@ import itertools
 import pytest
 
 from ring_explorer import protocol
+from ring_explorer.engine import decision_outcomes, successors
 from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
 from ring_explorer.ring import configurations, find_arrow, mirror, occupied_nodes, rotate, segments
+from ring_explorer.verify import successor_rule
 
 # The rules with no memo and no rotation: ``decide`` answers from the rules
 # of a representative rotation, so the anonymity tests and the oracle below
@@ -55,6 +57,18 @@ class TestDispatch:
         with pytest.raises(ProtocolError, match="out of protocol domain"):
             decide((1, 1, 1, 0, 0, 0, 0, 0, 0), 0)  # k=3
 
+    @pytest.mark.parametrize("c,i", [
+        ((1, 1, 1, 1, 0, 0, 0, 0), 99),  # n=8, node out of range
+        ((1, 1, 1, 0, 0, 0, 0, 0, 0), 5),  # k=3, node unoccupied
+    ])
+    def test_domain_error_comes_first(self, c, i):
+        with pytest.raises(ProtocolError, match="out of protocol domain"):
+            decide(c, i)
+
+    def test_unhashable_snapshot(self):
+        with pytest.raises(TypeError):
+            decide([1, 1, 1, 1, 0, 0, 0, 0, 0], 1)
+
     def test_unoccupied_node(self):
         with pytest.raises(ValueError):
             decide((1, 1, 1, 1, 0, 0, 0, 0, 0), 5)
@@ -74,6 +88,31 @@ class TestDispatch:
         ]:
             with pytest.raises(ProtocolError, match="unsupported configuration"):
                 decide(c, 0)
+
+
+class TestDomainBoundary:
+    """Witnesses for the n > 8 in ``decide``: below it, the gathering rules
+    run directly let two robots land on one node, a tower outside an arrow."""
+
+    @pytest.mark.parametrize("c,tower,rejected", [
+        ((1, 1, 0, 1, 1, 0), (1, 0, 2, 0, 1, 0), 17),  # {2,2}: both longest holes have length 1
+        ((1, 0, 1, 0, 1, 0, 1, 0), (1, 0, 1, 0, 0, 2, 0, 0), 62),  # alternating
+    ])
+    def test_rules_break_below_nine_nodes(self, c, tower, rejected):
+        n = len(c)
+        rules = direct_rules(c)
+
+        def options(v):
+            return [(dest, rules[v]) for dest in decision_outcomes(n, v, rules[v])]
+
+        allowed = successor_rule(c)
+        bad = [after for _, _, after in successors(c, options) if not allowed(after)]
+        assert protocol.phase(c) == "scatter"
+        assert tower in bad and protocol.phase(tower) == "invalid"
+        assert len(bad) == rejected
+        for i in occupied_nodes(c):
+            with pytest.raises(ProtocolError, match="out of protocol domain"):
+                decide(c, i)
 
 
 class TestGathering:

@@ -10,7 +10,7 @@ from ring_explorer import protocol, verify
 from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, mrp, run,
                                   sample_towerless, successors)
 from ring_explorer.ring import (canonical_form, configurations, find_arrow, has_tower,
-                                occupied_nodes, parse_config)
+                                is_towerless, occupied_nodes, parse_config, segments)
 from ring_explorer.verify import (
     CheckReport,
     InvariantViolation,
@@ -30,17 +30,22 @@ DECIDERS = [protocol.decide, shortest_hole_mutant, gap_filler_mutant, flipped_ta
             idle_tail_mutant, final_mover_mutant]
 
 
+def towerless_configs(n):
+    """Every towerless four-robot configuration, in ``combinations`` order."""
+    for nodes in itertools.combinations(range(n), 4):
+        yield tuple(1 if i in nodes else 0 for i in range(n))
+
+
 def expected_one_step_instances(n, decide=protocol.decide):
     """The no-tower check's instance count in closed form: per configuration,
     prod(1 + outcomes per robot) - 1.  The checker counts with the same
     product, so ``TestOneStepOracle`` counts the branches one by one."""
     total = 0
-    for nodes in itertools.combinations(range(n), 4):
-        c = tuple(1 if i in nodes else 0 for i in range(n))
+    for c in towerless_configs(n):
         if protocol.has_four_segment(c):
             continue
         product = 1
-        for node in nodes:
+        for node in occupied_nodes(c):
             product *= 1 + len(decision_outcomes(n, node, decide(c, node)))
         total += product - 1
     return total
@@ -60,14 +65,16 @@ class TestNoTowerOneStep:
             check_no_tower_one_step(8)
 
 
-def reference_check_successors(claim, n, configs, decide):
+def reference_check_successors(claim, n, cases, decide):
     """The one-step checkers' loop before they tested each distinct successor
-    once: every branch of ``engine.successors``, one at a time."""
+    once: every branch of ``engine.successors``, one at a time.  The rule
+    each case carries is ignored and ``successor_rule`` recomputed, so the
+    checkers' rules are checked too."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim=claim)
     count = 0
-    for count, c in enumerate(configs, 1):
+    for count, (c, _) in enumerate(cases, 1):
         allowed = verify.successor_rule(c)
         for activation, outcomes, after in successors(c, verify._protocol_options(c, decide)):
             report.instances_checked += 1
@@ -106,10 +113,38 @@ class TestOneStepOracle:
         for c in configurations(n, 4):
             if protocol.phase(c) == "invalid":
                 continue
-            report, _ = verify._check_successors("one", n, [c], decide)
-            expected, _ = reference_check_successors("one", n, [c], decide)
+            cases = [(c, verify.successor_rule(c))]
+            report, _ = verify._check_successors("one", n, cases, decide)
+            expected, _ = reference_check_successors("one", n, cases, decide)
             assert report.instances_checked == expected.instances_checked, c
             assert report.violations == expected.violations, c
+
+
+class TestScatterEnumeration:
+    """``check_no_tower_one_step`` enumerates the scatters itself and tests
+    each with ``is_towerless``; the phase classifier is the oracle."""
+
+    @pytest.mark.parametrize("n", range(9, 21))
+    def test_cases_are_the_scatters_with_the_claim_as_rule(self, n, monkeypatch):
+        seen = []
+
+        def spy(claim, n, cases, decide):
+            seen.extend(cases)
+            return CheckReport(claim=claim), len(seen)
+
+        monkeypatch.setattr(verify, "_check_successors", spy)
+        check_no_tower_one_step(n)
+        expected = [c for c in towerless_configs(n) if not protocol.has_four_segment(c)]
+        assert [c for c, _ in seen] == expected
+        assert all(protocol.phase(c) == "scatter" for c, _ in seen)
+        assert {rule for _, rule in seen} == {is_towerless}
+
+    @pytest.mark.parametrize("n", range(9, 21))
+    def test_four_segments_in_start_order(self, n):
+        four = [c for c in towerless_configs(n) if protocol.phase(c) == "four-segment"]
+        four.sort(key=lambda c: next(s.start for s in segments(c) if s.length == 4))
+        assert verify._four_segments(n) == [occupied_nodes(c) for c in four]
+        assert len(four) == n
 
 
 class TestFourSegmentStep:
