@@ -6,7 +6,8 @@ one-step checks plus trace bounds), ``count`` (tower-class counting), and
 ``impossible`` (the three-robot refutation report).  Identical invocations
 with identical seeds produce byte-identical output; timings go to stderr.
 Out-of-range arguments, such as an ``--n`` of 8 or less for ``simulate``,
-``campaign`` or ``verify``, are argparse usage errors with exit status 2.
+``campaign`` or ``verify``, or an ``--n``, ``--n-max`` or ``--k`` above
+``sys.maxsize``, are argparse usage errors with exit status 2.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .protocol import phase
 from .ring import parse_config
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than ``low`` and, when ``high`` is
+    given, no larger than it.  Ring sizes and robot counts take ``high =
+    sys.maxsize``: a larger one cannot size a sequence."""
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -34,6 +37,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return convert
 
@@ -65,7 +70,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_int_at_least(9), default=9, help="ring size")
+    parser.add_argument("--n", type=_int_at_least(9, sys.maxsize), default=9, help="ring size")
     parser.add_argument("--seed", type=int, default=0, help="master seed (recorded in output)")
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
 
@@ -186,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="tower-bearing configuration classes")
-    p.add_argument("--n", type=_int_at_least(3), default=4, help="ring size")
-    p.add_argument("--n-max", type=_int_at_least(3), default=None)
-    p.add_argument("--k", type=_int_at_least(1), default=3)
+    p.add_argument("--n", type=_int_at_least(3, sys.maxsize), default=4, help="ring size")
+    p.add_argument("--n-max", type=_int_at_least(3, sys.maxsize), default=None)
+    p.add_argument("--k", type=_int_at_least(1, sys.maxsize), default=3)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_count, error=p.error)
 

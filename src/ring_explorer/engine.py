@@ -8,7 +8,12 @@ so that schedulers can be fair to individual robots and traces are replayable.
 
 Each step yields a ``StepRecord``: an immutable named tuple whose seven fields
 (``t``, ``activated``, ``positions_before``, ``before``, ``after``, ``coins``,
-``adversary_edges``) are all required.
+``adversary_edges``) are all required.  ``Simulation.step`` is the validating
+entry: it takes robot ids in any order, repeats allowed, and sorts them.
+``SchedulerPolicy.activation`` already returns sorted ids without repeats, so
+``run`` hands them to the step unchanged.  A step that leaves the
+configuration as it was keeps the same tuple, ``after is before``, and
+``run`` re-reads the terminal verdict only after a step that changed it.
 
 Robots are oblivious, so ``decide`` must be a pure function of (configuration,
 node).  That purity also lets the engine memoise, per ``decide``, each
@@ -110,7 +115,8 @@ class SchedulerPolicy:
         return False
 
     def activation(self, t: int, k: int, rng: random.Random) -> Optional[tuple[int, ...]]:
-        """Robot ids to activate at instant t; None when a script runs out."""
+        """Robot ids to activate at instant t, sorted and without repeats
+        (``run`` steps with them as given); None when a script runs out."""
         if self.mode == ROUND_ROBIN:
             return (t % k,)
         if self.mode == SEQUENTIAL_RANDOM:
@@ -119,7 +125,7 @@ class SchedulerPolicy:
             return _mask_robots(rng.randrange(1, 1 << k))
         if t >= len(self.script):
             return None
-        return tuple(self.script[t])
+        return tuple(sorted(set(self.script[t])))
 
 
 @lru_cache(maxsize=1 << 8)
@@ -343,20 +349,30 @@ class Simulation:
         return self._config
 
     def step(self, activated: Iterable[int]) -> StepRecord:
-        acts = tuple(sorted(set(activated)))
+        """One step activating the robots in ``activated``, in any order and
+        with repeats allowed: the validating entry.  Raises SchedulerError
+        for an empty activation and ValueError for an id outside
+        ``0..k-1``."""
+        return self._apply(tuple(sorted(set(activated))))
+
+    def _apply(self, acts: tuple[int, ...]) -> StepRecord:
+        """The step itself, for a normalised activation: sorted robot ids
+        without repeats, as ``step`` and every ``SchedulerPolicy`` give."""
         if not acts:
             raise SchedulerError("scheduler violated nonemptiness")
         if acts[0] < 0 or acts[-1] >= self.k:
             raise ValueError(f"robot id out of range in activation {acts}")
-        before = self.configuration()
-        positions_before = tuple(self.positions)
+        before = self._config
+        positions = self.positions
+        positions_before = tuple(positions)
         coins: dict[int, bool] = {}
         adversary_edges: dict[int, int] = {}
-        moves: dict[int, int] = {}
+        movers: Optional[list[tuple[int, int]]] = None
         plan = self._plan
+        spots = plan.spots
         for r in acts:
-            node = self.positions[r]
-            targets, stay = plan.spots[node] or plan.fill(node)
+            node = positions[r]
+            targets, stay = spots[node] or plan.fill(node)
             if not targets:
                 continue
             if stay:  # staying put is possible: a fair coin decides
@@ -365,25 +381,30 @@ class Simulation:
                 if not win:
                     continue
             if len(targets) == 2:  # either edge: the adversary picks
-                choice = self.adversary(r, before, targets)
-                if choice not in targets:
-                    raise ValueError(f"adversary returned {choice}, not an incident edge")
-                adversary_edges[r] = choice
-                moves[r] = choice
+                target = self.adversary(r, before, targets)
+                if target not in targets:
+                    raise ValueError(f"adversary returned {target}, not an incident edge")
+                adversary_edges[r] = target
             else:
-                moves[r] = targets[0]
+                target = targets[0]
+            if movers is None:
+                movers = [(r, target)]
+            else:
+                movers.append((r, target))
         after = before
-        if moves:
+        if movers:
             # Only the movers' nodes change, and every node occupied before
             # the step is already visited: apply the movers' deltas alone.
             counts = list(before)
-            for r, target in moves.items():
-                counts[self.positions[r]] -= 1
+            visit = self.visited.add
+            for r, target in movers:
+                counts[positions[r]] -= 1
                 counts[target] += 1
-                self.positions[r] = target
-            after = self._config = tuple(counts)
-            self.visited.update(moves.values())
-            if after != before:
+                positions[r] = target
+                visit(target)
+            succ = tuple(counts)
+            if succ != before:  # moves that cancel, as in a swap, keep ``before``
+                after = self._config = succ
                 self._plan = _step_plan(self.decide, after)
         record = StepRecord(self.t, acts, positions_before, before, after, coins, adversary_edges)
         self.t += 1
@@ -412,8 +433,12 @@ def run(
     ``decide`` must be a pure function of (configuration, node): each
     configuration's step plan, its terminal verdict included, is worked out
     once per ``decide`` and reused by every later step and run that reaches
-    it.  ``require_towerless`` enforces the problem's initial condition;
-    pass False to replay from a mid-run snapshot such as an arrow.
+    it.  ``policy.activation`` must return robot ids sorted and without
+    repeats, as every ``SchedulerPolicy`` does: ``run`` steps with them
+    unchanged, keeping only the nonempty and range checks of
+    ``Simulation.step``.  ``require_towerless`` enforces the problem's
+    initial condition; pass False to replay from a mid-run snapshot such as
+    an arrow.
     """
     if rng is None:
         rng = random.Random(seed)
@@ -422,15 +447,18 @@ def run(
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
     steps: list[StepRecord] = []
+    activation, apply, append, k = policy.activation, sim._apply, steps.append, sim.k
     terminated = sim._plan.terminal()
     while not terminated and sim.t < max_steps:
-        activation = policy.activation(sim.t, sim.k, rng)
-        if activation is None:
+        acts = activation(sim.t, k, rng)
+        if acts is None:
             break
-        steps.append(sim.step(activation))
+        record = apply(acts)
+        append(record)
         # The plan changes only with the configuration, and an unchanged
         # plan keeps the verdict it already has.
-        terminated = sim._plan.terminal()
+        if record.after is not record.before:
+            terminated = sim._plan.terminal()
     return Trace(
         n=sim.n,
         k=sim.k,

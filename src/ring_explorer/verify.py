@@ -150,10 +150,12 @@ def _check_successors(claim: str, n: int,
     for count, (c, allowed) in enumerate(cases, 1):
         branches = 1
         rows = []
-        for v in occupied_nodes(c):
-            key = (v, decide(c, v), c[v])
+        for v, m in enumerate(c):
+            if not m:
+                continue
+            d = decide(c, v)
+            key = (v, d, m)
             if key not in node_moves:
-                _, d, m = key
                 spots = decision_outcomes(n, v, d)
                 moves = [(v, dest) for dest in spots if dest is not None]
                 node_moves[key] = (comb(len(spots) + m, m),

@@ -98,6 +98,11 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     assert first and first == second
 
 
+# Above ``sys.maxsize``: a ring size or robot count this large cannot size a
+# sequence, so it is a usage error rather than an OverflowError traceback.
+HUGE = "99999999999999999999"
+
+
 @pytest.mark.parametrize("argv", [
     ("campaign", "--trials", "0"),
     ("campaign", "--max-steps", "-1"),
@@ -114,10 +119,19 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     ("simulate", "--n", "9", "--initial", "1,1,1,0,0,0,0,0,0"),
     ("simulate", "--n", "10", "--initial", "1,1,1,1,0,0,0,0,0"),
     ("count", "--n", "5", "--n-max", "4"),
+    ("simulate", "--n", HUGE),
+    ("campaign", "--n", HUGE),
+    ("verify", "--n", HUGE),
+    ("count", "--n", HUGE, "--n-max", HUGE),
+    ("count", "--n", "4", "--n-max", HUGE),
+    ("count", "--k", HUGE),
+    ("count", "--k", str(sys.maxsize + 1)),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
         "initial-negative", "initial-not-int", "traces-negative", "jobs-0",
         "simulate-n-8", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
-        "initial-three-robots", "initial-ring-size-differs", "count-n-max-below-n"])
+        "initial-three-robots", "initial-ring-size-differs", "count-n-max-below-n",
+        "simulate-n-huge", "campaign-n-huge", "verify-n-huge", "count-n-huge",
+        "count-n-max-huge", "count-k-huge", "count-k-above-maxsize"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -125,6 +139,13 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"ring-explorer {argv[0]}: error: argument ")
+
+
+def test_huge_step_limit_is_not_bounded(capsys):
+    code, out = run_cli(capsys, "simulate", "--n", "9", "--initial", "1,0,2,1,0,0,0,0,0",
+                        "--seed", "7", "--max-steps", HUGE)
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["config"] == "0,0,2,1,1,0,0,0,0"
 
 
 def test_unwritable_output_fails_cleanly(tmp_path):

@@ -151,3 +151,42 @@ def test_verify_n20_stdout_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N20_SHA256
+
+
+# SHA-256 over every trial and step of ``trial_runs(15, 500, policy, 42)``,
+# the size of the benchmark's campaign: per trial, the trial seed, initial
+# configuration, verdict and sorted visited nodes, then every step record as
+# a plain tuple.  So a change to the engine's bookkeeping that alters any
+# field of any record, or the RNG draw order, fails here.
+TRIAL_RUNS_15_500_SEED_42_SHA256 = {
+    "round-robin": "44d81fa2a0a81f8d95fbedb7ce1b998603786386e9382b651f8752f7a5d9fdea",
+    "sequential-random": "6b5f3547ba4b32f67ef1077b652dc452d2b6ce0cfd54ebbe7b341ade079bd4aa",
+    "random-subset": "aebb25a9b74d9f7d307c89000149e6cf4b3d380ce2637b93bf8881a654561a2e",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(TRIAL_RUNS_15_500_SEED_42_SHA256))
+def test_trial_run_steps_pinned(policy):
+    digest = hashlib.sha256()
+    for seed, trace in verify.trial_runs(15, 500, SchedulerPolicy(policy), 42):
+        digest.update(repr((seed, trace.initial, trace.terminated,
+                            sorted(trace.visited))).encode())
+        for step in trace.steps:
+            digest.update(repr(tuple(step)).encode())
+    assert digest.hexdigest() == TRIAL_RUNS_15_500_SEED_42_SHA256[policy]
+
+
+# SHA-256 of the stdout of ``campaign --n 15 --trials 500 --seed 42 --policy
+# <policy>``, the command the README shows and the benchmark runs.
+CAMPAIGN_N15_SHA256 = {
+    "round-robin": "dd9adc7d0077eac084e030248bc3e21d0c75064a6481f7c13c6c6a28553677fa",
+    "random-subset": "7407439a6808ea1b895d0c13f642b74e14100d12ddece3de39404e8e131f90db",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(CAMPAIGN_N15_SHA256))
+def test_campaign_stdout_pinned(capsys, policy):
+    code = main(["campaign", "--n", "15", "--trials", "500", "--seed", "42", "--policy", policy])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_N15_SHA256[policy]

@@ -78,6 +78,18 @@ class TestStep:
             sim.step(activation)
         assert sim.t == 0 and sim.configuration() == (1, 1, 1, 1, 0, 0, 0, 0, 0)
 
+    def test_activation_order_and_repeats_do_not_matter(self):
+        rng = random.Random(8)
+        for seed in range(200):
+            c = sample_towerless(11, 4, rng)
+            ids = rng.sample(range(4), rng.randint(1, 4))
+            messy = ids + rng.choices(ids, k=rng.randint(0, 3))
+            rng.shuffle(messy)
+            records = [Simulation(c, rng=random.Random(seed)).step(activation)
+                       for activation in (messy, tuple(sorted(ids)))]
+            assert records[0] == records[1]
+            assert records[0].activated == tuple(sorted(ids))
+
     def test_one_shot_step_helper(self):
         record = Simulation((1, 0, 2, 1, 0, 0, 0, 0, 0), rng=random.Random(0)).step([0])
         assert record.after == (0, 0, 2, 1, 0, 0, 0, 0, 1)
@@ -347,6 +359,26 @@ class TestDecideCalls:
                 assert outcomes[0] == outcomes[1]
 
 
+    def test_swap_keeps_the_configuration_and_asks_nothing_new(self):
+        # Both inner robots of a 4-segment win their coins, three times: the
+        # robots swap nodes and the configuration stays the same tuple.
+        c = (1, 1, 1, 1, 0, 0, 0, 0, 0)
+        policy = SchedulerPolicy("scripted", script=((1, 2),) * 3)
+        ours, ours_calls = recorded(protocol.decide)
+        theirs, reference_calls = recorded(protocol.decide)
+        trace = run(c, policy, rng=ScriptedCoins([0.0] * 6), decide=ours)
+        steps = reference_run(c, policy, rng=ScriptedCoins([0.0] * 6), decide=theirs)[0]
+        assert trace.steps == steps and not trace.terminated
+        for record in trace.steps:
+            assert record.after is record.before
+            assert record.coins == {1: True, 2: True}
+        assert [s.positions_before for s in trace.steps] == [(0, 1, 2, 3), (0, 2, 1, 3),
+                                                             (0, 1, 2, 3)]
+        # The terminal test asks nodes 0 and 1, the first step node 2; the
+        # swaps ask nothing again.
+        assert ours_calls == list(dict.fromkeys(reference_calls)) == [(c, 0), (c, 1), (c, 2)]
+
+
 class TestIsTerminal:
     def test_final_arrow_terminal(self):
         assert is_terminal((2, 1, 1, 0, 0, 0, 0, 0, 0))
@@ -428,6 +460,29 @@ class TestRun:
         assert trace.steps[0].after == (1, 1, 1, 0, 0, 1, 0, 0, 0, 0)
         assert trace.steps[0].adversary_edges == {3: 5}
         assert not trace.terminated  # script exhausted before terminal
+
+
+    def test_scripted_activations_are_normalised(self):
+        messy = tuple(tuple(reversed(a)) + a for a in SCRIPT)  # e.g. (2, 1, 1, 2)
+        policy = SchedulerPolicy("scripted", script=messy * 30)
+        assert policy.script == messy * 30  # the policy keeps its script as given
+        for seed in range(4):
+            initial = sample_towerless(12, 4, random.Random(seed))
+            ours = run(initial, policy, seed=seed)
+            sorted_script = run(initial, SchedulerPolicy("scripted", script=SCRIPT * 30),
+                                seed=seed)
+            assert ours.steps and ours.steps == sorted_script.steps
+            assert ours.visited == sorted_script.visited
+            assert ours.terminated == sorted_script.terminated
+
+    @pytest.mark.parametrize("script,error,match", [
+        (((0,), ()), SchedulerError, "nonemptiness"),
+        (((0,), (1, 4)), ValueError, "out of range"),
+        (((2, -1, 2),), ValueError, "out of range"),
+    ], ids=["empty", "too-large", "negative"])
+    def test_bad_scripted_activation_raises_from_run(self, script, error, match):
+        with pytest.raises(error, match=match):
+            run((1, 1, 1, 1, 0, 0, 0, 0, 0), SchedulerPolicy("scripted", script=script), seed=0)
 
 
 class TestPolicies:
