@@ -23,7 +23,6 @@ from .ring import (
     canonical_form,
     find_arrow,
     holes,
-    is_final_arrow,
     mirror,
     parse_config,
     rotate,

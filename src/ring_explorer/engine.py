@@ -111,7 +111,7 @@ class SchedulerPolicy:
         if self.mode in (ROUND_ROBIN, SEQUENTIAL_RANDOM):
             return True
         if self.mode == SCRIPTED:
-            return all(len(a) == 1 for a in self.script)
+            return all(len(set(a)) == 1 for a in self.script)
         return False
 
     def activation(self, t: int, k: int, rng: random.Random) -> Optional[tuple[int, ...]]:
@@ -218,22 +218,23 @@ def decision_outcomes(n: int, node: int, d: "default_protocol.Decision") -> list
     return targets if d.kind == default_protocol.MOVE else [None] + targets
 
 
-def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -> Iterator[Branch]:
+def successors(c: Configuration, options: OptionsFn) -> Iterator[Branch]:
     """Every positive-probability branch of one activation from ``c``.
 
     Robots on one node are anonymous, so an activation is a robot count per
-    occupied node (a single robot when ``sequential``) and the outcomes at a
-    node form a multiset over ``options(node)``.  Yields ``(activation,
-    outcomes, successor)``: ``((node, count), ...)`` in node order, one
-    ``(node, destination or None, label)`` per activated robot, and the
-    configuration after every move lands.  Activation counts are enumerated
-    per node in node order, then each node's outcome multiset; certificate
-    search order depends on this.
+    occupied node and the outcomes at a node form a multiset over
+    ``options(node)``.  Yields ``(activation, outcomes, successor)``:
+    ``((node, count), ...)`` in node order, one ``(node, destination or
+    None, label)`` per activated robot, and the configuration after every
+    move lands.  Activation counts are enumerated per node in node order,
+    then each node's outcome multiset; certificate search order depends on
+    this.  The branches of a sequential scheduler, which activates one
+    robot, are those with one outcome.
     """
     # Every activation in enumeration order, with the rows of its nodes: a row
     # lists the outcome multisets of that many robots on one node, each as
     # (its outcomes, its moves as (node, destination) pairs).
-    activations: list[tuple[tuple, tuple, int]] = [((), (), 0)]
+    activations: list[tuple[tuple, tuple]] = [((), ())]
     for v, m in enumerate(c):
         if not m:
             continue
@@ -242,12 +243,10 @@ def successors(c: Configuration, options: OptionsFn, sequential: bool = False) -
                   tuple((v, dest) for dest, _ in pick if dest is not None))
                  for pick in itertools.combinations_with_replacement(choices, a)]
                 for a in range(m + 1)]
-        activations = [(activation + ((v, a),), picked + (rows[a],), total + a) if a
-                       else (activation, picked, total)
-                       for activation, picked, total in activations for a in range(m + 1)]
-    for activation, picked, total in activations:
-        if total == 0 or (sequential and total != 1):
-            continue
+        activations = [(activation + ((v, a),), picked + (rows[a],)) if a
+                       else (activation, picked)
+                       for activation, picked in activations for a in range(m + 1)]
+    for activation, picked in activations[1:]:  # the first is the empty one
         branches = [((), ())]
         for row in picked:
             branches = [(outcomes + more, moves + more_moves)

@@ -19,10 +19,11 @@ Transitions commute with the ring symmetries, so the search expands one
 concrete state per symmetry orbit, and every witness path is a concrete run
 from the initial state: configuration (1, 1, 1, 0) with nodes 0, 1, 2 visited.
 The branches a table allows from a configuration depend only on its move bits
-there, so the search reads them from a memo filled on first need, one entry
-per (mode, configuration, move bits).
-The forcing game runs over the 64 identity states (the node of each robot),
-every set of them a 64-bit mask, so its fixpoints are a few integer operations.
+there, so the search reads them from a table built once, one entry per (mode,
+configuration, move bits).
+The forcing game runs over the N^K identity states (the node of each robot),
+every set of them a mask with one bit per identity state, so its fixpoints are
+a few integer operations.
 A table's game is the OR of one packed int per view class, picked by the
 class's support, split into one mask per robot and kind of forcing action.
 """
@@ -40,6 +41,7 @@ from .ring import canonical_direction, canonical_form, configurations, occupied_
 
 N = 4
 K = 3
+STATES = N ** K  # identity states: the node of each robot
 FULL_MASK = (1 << N) - 1
 
 IDLE_BIT = 1
@@ -146,11 +148,10 @@ def _bits(mask: int) -> list[int]:
 class _Tables:
     """The table-independent transition structure of three robots on the
     four-ring: view classes, configurations, each robot's options, the kept
-    branches per configuration (``combos``), the symmetry orbits, and the
+    branches per configuration (``combos``) and the ones a table's move bits
+    there allow (``allowed``), both per mode, the symmetry orbits, and the
     forcing game packed per view class and support field (``game``).
-    ``allowed`` memoises, per mode and configuration, the branches that a
-    table's move bits there allow; ``allowed_branches`` fills an entry when
-    ``_search`` first needs it."""
+    ``_tables`` builds them once per process."""
 
     def __init__(self) -> None:
         self.classes = enumerate_view_classes()
@@ -184,15 +185,32 @@ class _Tables:
         for (cid, _), bits in self.node_moves.items():
             self.config_moves[cid] |= bits
 
-        # Per config, the branches that move a robot, as (required element
-        # bits, successor config id << N, successor occupied-node mask, combo),
-        # combo = ((node, robots activated there), ...), ((node, dest|None), ...).
-        self.combos = {
-            mode: [self._combos_for(cid, mode == "sequential") for cid in range(len(self.configs))]
-            for mode in ("distributed", "sequential")
-        }
-        self.allowed: dict[str, list[dict[int, list]]] = {
-            mode: [{} for _ in self.configs] for mode in self.combos}
+        # Per mode and config, the kept branches, as (required element bits,
+        # successor config id << N, successor occupied-node mask, combo),
+        # combo = ((node, robots activated there), ...), ((node, dest), ...).
+        # Each config's branches are enumerated once, over move options only:
+        # a branch with an idle robot is dominated by its moves alone, an
+        # earlier activation (see ``_undominated``).  Sequential mode keeps
+        # the branches that activate one robot.  ``allowed`` holds, per mode,
+        # config and submask ``key`` of its move bits, the branches a table
+        # with ``tm & config_moves[cid] == key`` allows, as (successor config
+        # id << N | successor occupied-node mask, combo) in ``combos`` order:
+        # a kept branch requires move bits only, so ``key`` decides it.
+        self.combos: dict[str, list[list[tuple]]] = {"distributed": [], "sequential": []}
+        self.allowed: dict[str, list[dict[int, list]]] = {"distributed": [], "sequential": []}
+        for cid, c in enumerate(self.configs):
+            moving = list(successors(c, lambda v: self.options[(cid, v)][1:]))
+            singles = [branch for branch in moving if len(branch[1]) == 1]
+            keys = [0]
+            for bit in _bits(self.config_moves[cid]):
+                keys += [key | 1 << bit for key in keys]
+            for mode, branches in (("distributed", moving), ("sequential", singles)):
+                combos = self._undominated(branches)
+                self.combos[mode].append(combos)
+                self.allowed[mode].append({
+                    key: [(succ_cid | succ_occ, combo)
+                          for req, succ_cid, succ_occ, combo in combos if req & ~key == 0]
+                    for key in keys})
 
         # Orbit number of every state ``cid << N | visited`` under the ring
         # symmetries: configuration and visited set are read node by node and
@@ -213,24 +231,24 @@ class _Tables:
                                if self.canonical_cid[scid] == self.canonical_cid[cid])
                            for cid in range(len(self.configs))]
         # The forcing game per view class and 3-bit support field of that
-        # class, packed in one int: bits 64 * (3r + j) onward hold the states
-        # where the field makes robot r's forcing action a move of kind j: to
-        # the next node (j = 0), to the previous node (j = 1; a symmetric view
-        # has both), or either way at the mover's choice (j = 2).
+        # class, packed in one int: bits STATES * (3r + j) onward hold the
+        # states where the field makes robot r's forcing action a move of kind
+        # j: to the next node (j = 0), to the previous node (j = 1; a symmetric
+        # view has both), or either way at the mover's choice (j = 2).
         self.game = [[0] * 8 for _ in self.classes]
         for sid, positions in enumerate(self.idstates):
             for r, v in enumerate(positions):
                 (_, idle), (fwd, fwd_bit), (bwd, bwd_bit) = self.options[(self.idstate_cid[sid], v)]
                 shift = idle.bit_length() - 1
                 per_field = self.game[shift // 3]
-                at = sid + 64 * 3 * r  # sid's bit in robot r's kind-0 word
+                at = sid + STATES * 3 * r  # sid's bit in robot r's kind-0 word
                 for field in range(8):
                     on = field << shift & (fwd_bit | bwd_bit)
                     for dest, bit in ((fwd, fwd_bit), (bwd, bwd_bit)):
                         if on == bit:
-                            per_field[field] |= 1 << at + (0 if dest == (v + 1) % N else 64)
+                            per_field[field] |= 1 << at + (0 if dest == (v + 1) % N else STATES)
                     if fwd_bit != bwd_bit and on == fwd_bit | bwd_bit:
-                        per_field[field] |= 1 << at + 128
+                        per_field[field] |= 1 << at + 2 * STATES
         # Per robot: its digit's weight in sid, and the states with it on the
         # last and on the first node, where a one-node move wraps around the
         # ring; ``_Game.forced`` shifts state masks by these.
@@ -242,19 +260,7 @@ class _Tables:
         self.initial_cid = self.config_id[(1, 1, 1, 0)]
         self.initial_mask = 0b0111
 
-    def allowed_branches(self, mode: str, cid: int, key: int) -> list[tuple[int, tuple]]:
-        """The branches from ``cid`` that a table with ``tm & config_moves[cid]
-        == key`` allows, as (successor config id << N | successor occupied-node
-        mask, combo), in ``combos`` order, memoised in ``allowed``.  A kept
-        branch requires move bits only (one that also needs an idle bit is
-        dropped as dominated by the same moves without the idle robots), so
-        ``key`` decides which are allowed."""
-        branches = [(succ_cid | succ_occ, combo)
-                    for req, succ_cid, succ_occ, combo in self.combos[mode][cid] if req & ~key == 0]
-        self.allowed[mode][cid][key] = branches
-        return branches
-
-    def _combos_for(self, cid: int, sequential: bool) -> list[tuple]:
+    def _undominated(self, branches: list) -> list[tuple]:
         # A branch is dropped when an earlier kept branch has the same
         # successor configuration and a subset of its required bits.  Every
         # table that allows the dropped branch then allows the earlier one,
@@ -263,10 +269,7 @@ class _Tables:
         # dropped branch and keeps the same bad state, parents and expanded.
         combos = []
         kept: dict[int, list[int]] = {}  # successor config id -> required bits
-        branches = successors(self.configs[cid], lambda v: self.options[(cid, v)], sequential)
         for activation, outcomes, succ in branches:
-            if all(dest is None for _, dest, _ in outcomes):
-                continue  # no-op branch, irrelevant for reachability
             req = 0
             for _, _, bit in outcomes:
                 req |= bit
@@ -317,10 +320,7 @@ def _search(tm: int, mode: str):
     for state in queue:
         cid = state >> N
         expanded |= orbit_sids[cid]
-        key = tm & config_moves[cid]
-        branches = memo[cid].get(key)
-        if branches is None:
-            branches = tb.allowed_branches(mode, cid, key)
+        branches = memo[cid][tm & config_moves[cid]]
         visited = state & FULL_MASK
         if not branches:
             if visited != FULL_MASK:
@@ -362,23 +362,23 @@ def _path_witness(state: int, parents: dict) -> list[dict]:
 # Forcing traps
 # ---------------------------------------------------------------------------
 
-_WORD = (1 << 64) - 1  # one bit per identity state
+_WORD = (1 << STATES) - 1  # one bit per identity state
 
 
 class _Game:
-    """The forcing game of one table, every set of identity states a 64-bit
-    mask.  The OR of ``_Tables.game`` over the table's view-class fields
-    holds all robots' masks, split off here: per robot, ``moves`` holds the
-    states where its forcing action moves to the next node, to the previous
-    node, or either way at the mover's choice, and ``movers`` their union:
-    outside it the robot's support is idle-only."""
+    """The forcing game of one table, every set of identity states a mask
+    with one bit per identity state.  The OR of ``_Tables.game`` over the
+    table's view-class fields holds all robots' masks, split off here: per
+    robot, ``moves`` holds the states where its forcing action moves to the
+    next node, to the previous node, or either way at the mover's choice, and
+    ``movers`` their union: outside it the robot's support is idle-only."""
 
     def __init__(self, tm: int) -> None:
         tb = _tables()
         packed = 0
         for i, per_field in enumerate(tb.game):
             packed |= per_field[tm >> 3 * i & 7]
-        words = [packed >> 64 * j & _WORD for j in range(3 * K)]
+        words = [packed >> STATES * j & _WORD for j in range(3 * K)]
         self.moves = [tuple(words[3 * r:3 * r + 3]) for r in range(K)]
         self.movers = [plus | minus | both for plus, minus, both in self.moves]
         self.digits = tb.digits

@@ -8,7 +8,8 @@ every externally meaningful comparison goes through ``canonical_form``.
 Input from outside the package is validated once, by ``as_config`` (any
 sequence of integers) or ``parse_config`` (the comma-separated text form).
 Every other function here takes a ``Configuration`` tuple as it is and does
-not re-check it; the structural queries are cached on that tuple.
+not re-check it.  ``canonical_form``, ``segments`` and ``find_arrow`` are
+cached on that tuple.
 """
 
 from __future__ import annotations
@@ -187,7 +188,6 @@ def segments(c: Configuration) -> tuple[Segment, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def holes(c: Configuration) -> tuple[Hole, ...]:
     """All maximal free runs, in ring order from the first occupied node; each
     carries its end nodes and occupied neighbors.  Read off ``segments``: the
@@ -247,10 +247,3 @@ def find_arrow(c: Configuration) -> Optional[Arrow]:
         if size >= 1 and c[j] == 1:
             return Arrow(tail=j, head=head, tower=tower, size=size, orientation=orientation)
     return None
-
-
-def is_final_arrow(c: Configuration) -> bool:
-    """True when the arrow's tail sits adjacent to its head: no hole remains
-    between them, i.e. the arrow size is n-3."""
-    a = find_arrow(c)
-    return a is not None and a.size == len(c) - 3

@@ -22,8 +22,8 @@ from ring_explorer.engine import (
     sample_towerless,
     trace_to_jsonl,
 )
-from ring_explorer.ring import (as_config, canonical_form, configurations, is_final_arrow,
-                                occupied_nodes, parse_config)
+from ring_explorer.ring import (as_config, canonical_form, configurations, occupied_nodes,
+                                parse_config)
 
 
 class ScriptedCoins:
@@ -305,8 +305,8 @@ class TestStepPlanOracle:
             assert ours == reference
             results.append(ours[0])
         (steps, _, terminated), (idle_steps, _, idle_terminated), flipped = results
-        assert terminated and is_final_arrow(steps[-1].after)
-        assert idle_terminated and not is_final_arrow(idle_steps[-1].after)
+        assert terminated and protocol.phase(steps[-1].after) == "final"
+        assert idle_terminated and protocol.phase(idle_steps[-1].after) != "final"
         assert flipped[0] is protocol.ProtocolError  # the flipped tail builds a tower
 
 
@@ -424,7 +424,7 @@ class TestRun:
         assert trace.terminated
         moves = [s for s in trace.steps if s.changed]
         assert len(moves) == 5  # n - 4
-        assert is_final_arrow(trace.configurations()[-1])
+        assert protocol.phase(trace.configurations()[-1]) == "final"
         assert len(mrp(trace.configurations())) == 6
         # The hole inside the starting arrow is never entered on this walk.
         assert trace.visited == frozenset(range(9)) - {1}
@@ -514,6 +514,8 @@ class TestPolicies:
         assert not SchedulerPolicy("random-subset").sequential
         assert SchedulerPolicy("scripted", script=((0,), (2,))).sequential
         assert not SchedulerPolicy("scripted", script=((0, 1),)).sequential
+        # Repeats are dropped: ``run`` activates (0,) and then (1,).
+        assert SchedulerPolicy("scripted", script=((0, 0), (1, 1))).sequential
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -663,8 +665,10 @@ class TestSuccessors:
         def options(node):
             d = protocol.decide(c, node)
             return [(dest, d) for dest in engine.decision_outcomes(len(c), node, d)]
-        for activation, outcomes, after in engine.successors(c, options, sequential):
+        for activation, outcomes, after in engine.successors(c, options):
             assert sum(a for _, a in activation) == len(outcomes)
+            if sequential and len(outcomes) != 1:
+                continue
             yield len(outcomes), tuple((v, dest) for v, dest, _ in outcomes), after
 
     def test_matches_per_robot_enumeration(self):

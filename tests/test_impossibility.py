@@ -509,13 +509,17 @@ class TestSymmetryClosure:
 
 def unpruned_branches(tb, mode):
     """Per configuration id, every branch that moves a robot, in
-    ``engine.successors`` order, as (required element bits, successor config
-    id, combo): the branch list before dominated branches are dropped."""
+    ``engine.successors`` order over the full options, idle included, as
+    (required element bits, successor config id, combo): the branch list
+    before dominated branches are dropped.  Sequential mode keeps the
+    branches that activate one robot."""
     out = []
     for cid, c in enumerate(tb.configs):
         rows = []
         for activation, outcomes, succ in engine.successors(
-                c, lambda v, cid=cid: tb.options[(cid, v)], mode == "sequential"):
+                c, lambda v, cid=cid: tb.options[(cid, v)]):
+            if mode == "sequential" and len(outcomes) != 1:
+                continue
             if all(dest is None for _, dest, _ in outcomes):
                 continue
             req = 0
@@ -603,24 +607,26 @@ def submasks(mask):
 class TestAllowedBranches:
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_memo_is_the_kept_combos_filtered_by_the_key(self, mode):
-        # For every key a table can have at a configuration, the memo entry is
-        # the kept branches the key allows, in order.  A kept branch needs move
-        # bits only, so the key decides it; and the entry is empty exactly
-        # when the key is 0, where the table gives the configuration no move.
+        # The keys are exactly the ones a table can have at a configuration:
+        # the submasks of its move bits.  Each entry is the kept branches the
+        # key allows, in order; a kept branch needs move bits only, so the key
+        # decides it.  An entry is empty exactly when its key is 0, where the
+        # table gives the configuration no move.
         tb = imp._Tables()
         for cid, rows in enumerate(tb.combos[mode]):
             moves = tb.config_moves[cid]
             assert all(req & ~moves == 0 for req, _, _, _ in rows), tb.configs[cid]
-            for key in submasks(moves):
+            entries = tb.allowed[mode][cid]
+            assert sorted(entries) == sorted(submasks(moves)), tb.configs[cid]
+            for key, branches in entries.items():
                 expected = [(succ_cid | succ_occ, combo)
                             for req, succ_cid, succ_occ, combo in rows if req & ~key == 0]
-                assert tb.allowed_branches(mode, cid, key) == expected, (tb.configs[cid], key)
-                assert tb.allowed[mode][cid][key] == expected
-                assert bool(expected) == bool(key)
+                assert branches == expected, (tb.configs[cid], key)
+                assert bool(branches) == bool(key)
 
     def test_search_does_not_depend_on_table_order(self, classes, monkeypatch):
-        # The memo fills in the order tables arrive; a memo keyed on too
-        # little would hand one table's branches to another.
+        # A search reads the table alone: the tables refuted before it, in
+        # whatever order, change nothing.
         masks = [imp.table_mask(imp.protocol_at(classes, index))
                  for index in range(0, imp.protocol_space_size(classes), 7)]
         shuffled = random.Random(15).sample(masks, len(masks))

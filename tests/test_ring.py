@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ring_explorer import ring
+from ring_explorer.protocol import phase
 from ring_explorer.ring import (
     Arrow,
     canonical_direction,
     canonical_form,
     find_arrow,
     holes,
-    is_final_arrow,
     mirror,
     rotate,
     segments,
@@ -275,10 +275,10 @@ class TestArrow:
         assert find_arrow((1, 2, 1, 0, 0, 0, 0, 0, 0)) is None
 
     def test_final(self):
-        assert is_final_arrow((2, 1, 1, 0, 0, 0))
-        assert is_final_arrow((2, 1, 1, 0, 0, 0, 0, 0, 0))
-        assert not is_final_arrow((1, 0, 2, 1, 0, 0, 0, 0, 0))
-        assert not is_final_arrow((1, 1, 1, 1, 0, 0, 0, 0, 0))
+        assert phase((2, 1, 1, 0, 0, 0)) == "final"
+        assert phase((2, 1, 1, 0, 0, 0, 0, 0, 0)) == "final"
+        assert phase((1, 0, 2, 1, 0, 0, 0, 0, 0)) != "final"
+        assert phase((1, 1, 1, 1, 0, 0, 0, 0, 0)) != "final"
 
     def test_matches_path_scan_oracle_exhaustive(self):
         # every 4-robot configuration with one 2-tower and two singles
