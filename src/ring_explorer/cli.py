@@ -7,7 +7,9 @@ one-step checks plus trace bounds), ``count`` (tower-class counting), and
 with identical seeds produce byte-identical output; timings go to stderr.
 Out-of-range arguments, such as an ``--n`` of 8 or less for ``simulate``,
 ``campaign`` or ``verify``, or an ``--n``, ``--n-max`` or ``--k`` above
-``sys.maxsize``, are argparse usage errors with exit status 2.
+``sys.maxsize``, are argparse usage errors with exit status 2.  A size
+within that bound that still does not fit in memory, such as ``simulate
+--n`` at ``sys.maxsize``, ends with one stderr line and exit status 1.
 """
 
 from __future__ import annotations
@@ -208,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        raise SystemExit(f"ring-explorer {args.command}: out of memory") from None
 
 
 if __name__ == "__main__":

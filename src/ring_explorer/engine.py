@@ -20,7 +20,13 @@ node).  That purity also lets the engine memoise, per ``decide``, each
 configuration's step plan: where the robots of each occupied node may land,
 whether a coin decides, and whether the configuration is terminal.  The memo
 is bounded and shared by every run in the process, so a campaign's trials
-reuse the plans of the configurations they revisit.
+reuse the plans of the configurations they revisit.  A plan derives a node's
+landing spots from ``decision_outcomes`` when the node is first asked about.
+
+``successors`` is the same one-step relation for the checkers: every
+positive-probability branch of one activation, read off two products (the
+activated robot count per occupied node, then each node's outcome
+multiset), with no randomness and no memo.
 """
 
 from __future__ import annotations
@@ -226,40 +232,28 @@ def successors(c: Configuration, options: OptionsFn) -> Iterator[Branch]:
     ``options(node)``.  Yields ``(activation, outcomes, successor)``:
     ``((node, count), ...)`` in node order, one ``(node, destination or
     None, label)`` per activated robot, and the configuration after every
-    move lands.  Activation counts are enumerated per node in node order,
-    then each node's outcome multiset; certificate search order depends on
-    this.  The branches of a sequential scheduler, which activates one
-    robot, are those with one outcome.
+    move lands.  Two products give the order, which certificate search
+    depends on: the activation counts, first occupied node slowest and the
+    empty activation skipped; then per activation the nodes' outcome
+    multisets, again first node slowest.  The branches of a sequential
+    scheduler, which activates one robot, are those with one outcome.
     """
-    # Every activation in enumeration order, with the rows of its nodes: a row
-    # lists the outcome multisets of that many robots on one node, each as
-    # (its outcomes, its moves as (node, destination) pairs).
-    activations: list[tuple[tuple, tuple]] = [((), ())]
-    for v, m in enumerate(c):
-        if not m:
-            continue
-        choices = options(v)
-        rows = [[(tuple((v, dest, label) for dest, label in pick),
-                  tuple((v, dest) for dest, _ in pick if dest is not None))
-                 for pick in itertools.combinations_with_replacement(choices, a)]
-                for a in range(m + 1)]
-        activations = [(activation + ((v, a),), picked + (rows[a],)) if a
-                       else (activation, picked)
-                       for activation, picked in activations for a in range(m + 1)]
-    for activation, picked in activations[1:]:  # the first is the empty one
-        branches = [((), ())]
-        for row in picked:
-            branches = [(outcomes + more, moves + more_moves)
-                        for outcomes, moves in branches for more, more_moves in row]
-        for outcomes, moves in branches:
-            succ = c
-            if moves:
-                counts = list(c)
-                for v, dest in moves:
-                    counts[v] -= 1
-                    counts[dest] += 1
-                succ = tuple(counts)
-            yield activation, outcomes, succ
+    nodes = [(v, m, options(v)) for v, m in enumerate(c) if m]
+    counts = itertools.product(*(range(m + 1) for _, m, _ in nodes))
+    next(counts)  # the empty activation
+    for active in counts:
+        activation = tuple((v, a) for (v, _, _), a in zip(nodes, active) if a)
+        picks = [itertools.combinations_with_replacement(choices, a)
+                 for (_, _, choices), a in zip(nodes, active) if a]
+        for pick in itertools.product(*picks):
+            outcomes = tuple((v, dest, label) for (v, _), robots in zip(activation, pick)
+                             for dest, label in robots)
+            succ = list(c)
+            for v, dest, _ in outcomes:
+                if dest is not None:
+                    succ[v] -= 1
+                    succ[dest] += 1
+            yield activation, outcomes, tuple(succ)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +277,11 @@ class _StepPlan:
         self._terminal: Optional[bool] = None
 
     def fill(self, node: int) -> tuple[tuple[int, ...], bool]:
-        entry = self.spots[node] = _landing(len(self.c), node, self.decide(self.c, node))
+        """The nodes a robot on ``node`` may land on, and whether it may also
+        stay (a coin decides when it may do both)."""
+        outcomes = decision_outcomes(len(self.c), node, self.decide(self.c, node))
+        stay = outcomes[0] is None
+        entry = self.spots[node] = (tuple(outcomes[1:] if stay else outcomes), stay)
         return entry
 
     def terminal(self) -> bool:
@@ -298,16 +296,6 @@ class _StepPlan:
                     break
             self._terminal = terminal
         return self._terminal
-
-
-@lru_cache(maxsize=1 << 10)
-def _landing(n: int, node: int, d: "default_protocol.Decision") -> tuple[tuple[int, ...], bool]:
-    """The nodes a robot on ``node`` that decided ``d`` may land on, and
-    whether it may also stay (a coin decides when it may do both).  Shared
-    by every plan whose node decided ``d``."""
-    outcomes = decision_outcomes(n, node, d)
-    stay = outcomes[0] is None
-    return tuple(outcomes[1:] if stay else outcomes), stay
 
 
 @lru_cache(maxsize=1 << 13)

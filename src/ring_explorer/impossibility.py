@@ -148,9 +148,9 @@ def _bits(mask: int) -> list[int]:
 class _Tables:
     """The table-independent transition structure of three robots on the
     four-ring: view classes, configurations, each robot's options, the kept
-    branches per configuration (``combos``) and the ones a table's move bits
-    there allow (``allowed``), both per mode, the symmetry orbits, and the
-    forcing game packed per view class and support field (``game``).
+    branches per configuration that a table's move bits there allow
+    (``allowed``, per mode), the symmetry orbits, and the forcing game
+    packed per view class and support field (``game``).
     ``_tables`` builds them once per process."""
 
     def __init__(self) -> None:
@@ -196,7 +196,6 @@ class _Tables:
         # with ``tm & config_moves[cid] == key`` allows, as (successor config
         # id << N | successor occupied-node mask, combo) in ``combos`` order:
         # a kept branch requires move bits only, so ``key`` decides it.
-        self.combos: dict[str, list[list[tuple]]] = {"distributed": [], "sequential": []}
         self.allowed: dict[str, list[dict[int, list]]] = {"distributed": [], "sequential": []}
         for cid, c in enumerate(self.configs):
             moving = list(successors(c, lambda v: self.options[(cid, v)][1:]))
@@ -206,7 +205,6 @@ class _Tables:
                 keys += [key | 1 << bit for key in keys]
             for mode, branches in (("distributed", moving), ("sequential", singles)):
                 combos = self._undominated(branches)
-                self.combos[mode].append(combos)
                 self.allowed[mode].append({
                     key: [(succ_cid | succ_occ, combo)
                           for req, succ_cid, succ_occ, combo in combos if req & ~key == 0]
@@ -714,7 +712,8 @@ def _count_mode(mode: str, lo: int, hi: int) -> tuple[dict, dict]:
 def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
                     jobs: int = 1) -> dict:
     """Refute every support-level protocol in each scheduler mode and report
-    certificate-kind counts with one example certificate per kind.  The
+    certificate-kind counts with one example certificate per kind, each
+    checked with ``validate_certificate`` before it is reported.  The
     tables are split over ``jobs`` worker processes, at most one per CPU."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -753,6 +752,7 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
         for kind, idx in sorted(first.items()):
             table = protocol_at(classes, idx)
             cert = refute(table, mode, with_witness=True)
+            validate_certificate(table, cert, mode)
             examples[kind] = {
                 "protocol_index": idx,
                 "table": describe_protocol(classes, table),

@@ -101,12 +101,15 @@ def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configurat
     return tuple(c)
 
 
+@lru_cache(maxsize=1 << 12)
 def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
     """The test for the configurations one protocol step may reach from
     ``before``: from a scatter, any towerless one; from a 4-segment, itself or
     a primary arrow on its own four nodes; from an arrow, itself or the arrow
     with the same tower and head grown by one (the final arrow included); from
-    the final arrow or an invalid snapshot, only itself."""
+    the final arrow or an invalid snapshot, only itself.  Memoised: the run
+    monitor's steps and trials revisit the same few thousand configurations,
+    and the one-step checks share the memo."""
     kind = phase(before)
     if kind == "scatter":
         return is_towerless
@@ -322,13 +325,6 @@ def count_tower_classes(n: int, k: int = 3) -> int:
 # Run monitoring and campaigns
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 12)
-def _monitor_rule(before: Configuration) -> Callable[[Configuration], bool]:
-    """``successor_rule(before)`` for the run monitor, kept across steps and
-    trials: a campaign's runs revisit the same few thousand configurations."""
-    return successor_rule(before)
-
-
 def check_run_invariants(trace: Trace) -> None:
     """Assert that a run starts from a valid configuration, that every step
     changing the configuration is one ``successor_rule`` allows, and that a
@@ -337,7 +333,7 @@ def check_run_invariants(trace: Trace) -> None:
         raise InvariantViolation(f"initial configuration invalid: {trace.initial}")
     for step in trace.steps:
         before, after = step.before, step.after
-        if before != after and not _monitor_rule(before)(after):
+        if before != after and not successor_rule(before)(after):
             raise InvariantViolation(
                 f"step {step.t}: {phase(before)} -> {phase(after)} "
                 f"({format_config(before)} -> {format_config(after)})"

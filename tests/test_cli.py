@@ -141,6 +141,19 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert err.splitlines()[-1].startswith(f"ring-explorer {argv[0]}: error: argument ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", str(sys.maxsize)),
+    ("count", "--k", str(sys.maxsize), "--n", "4"),
+], ids=["simulate-n-maxsize", "count-k-maxsize"])
+def test_size_beyond_memory_fails_cleanly(argv):
+    # Within the usage bound but far beyond memory: each command fails on one
+    # refused allocation (a configuration of n entries, an index array of k),
+    # and exits with status 1 and one stderr line, no traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == f"ring-explorer {argv[0]}: out of memory"
+
+
 def test_huge_step_limit_is_not_bounded(capsys):
     code, out = run_cli(capsys, "simulate", "--n", "9", "--initial", "1,0,2,1,0,0,0,0,0",
                         "--seed", "7", "--max-steps", HUGE)

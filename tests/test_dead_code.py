@@ -1,7 +1,8 @@
 """No dead exports: every public top-level function and class of the package
 is used somewhere in ``src/`` or named in the README, apart from its own
 definition and its re-export in ``__init__.py``.  Code that only tests call
-belongs in ``tests/``."""
+belongs in ``tests/``.  A README name counts only because the README's
+library sketch runs: the last test here executes it."""
 
 import ast
 import re
@@ -33,3 +34,10 @@ def unused_public_definitions():
 
 def test_every_public_definition_is_used():
     assert unused_public_definitions() == []
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "is_terminal" in sketch and "ScriptedAdversary" in sketch
+    exec(compile(sketch, "README.md (library sketch)", "exec"), {})

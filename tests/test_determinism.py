@@ -79,9 +79,13 @@ SUCCESSORS_SHA256 = {
     # Every three-robot four-ring configuration with the refuter's option
     # table, distributed then sequential.
     "refuter": "0ea97795a979b470dc295a59a1d0923f71e6dce312acedb283ba03458735dcbc",
+    # The same with move options only, as ``impossibility._Tables`` calls it.
+    "refuter-moves": "343d4f8b997159d34ba8716fd5b1bc93168e43c69766f0888128eae60b01667e",
     # Every n = 9 configuration in the protocol's domain (towerless,
     # 4-segment, arrow), distributed then sequential.
     "protocol-9": "fc9d4d0b00097c47a975d6bdb798da72dc8edc045dc44812702470997d90b2b7",
+    # The same with move outcomes only: an idle robot has no options.
+    "protocol-9-moves": "2ac27d5f02b8766b230635ac913422e195c08e9d9a03494733bfeb637031cb9b",
 }
 
 
@@ -118,17 +122,36 @@ def _refuter_cases():
             for sequential in (False, True) for cid, c in enumerate(tables.configs)]
 
 
+def _refuter_move_cases():
+    # The call ``_Tables`` makes: move options only, no idle outcome.
+    tables = impossibility._tables()
+    return [(c, lambda v, cid=cid: tables.options[(cid, v)][1:], sequential)
+            for sequential in (False, True) for cid, c in enumerate(tables.configs)]
+
+
 def _protocol_cases():
     return [(c, verify._protocol_options(c, protocol.decide), sequential)
             for sequential in (False, True)
             for c in configurations(9, 4) if protocol.phase(c) != "invalid"]
 
 
-@pytest.mark.parametrize("name,cases", [("refuter", _refuter_cases),
-                                        ("protocol-9", _protocol_cases)],
-                         ids=["refuter", "protocol-9"])
-def test_successor_order_pinned(name, cases):
-    assert _branches_sha256(cases()) == SUCCESSORS_SHA256[name]
+def _protocol_move_cases():
+    # Move outcomes only: an idle robot has no options at all, so some
+    # activations have no branch.
+    def moves_only(options):
+        return lambda v: [(dest, d) for dest, d in options(v) if dest is not None]
+    return [(c, moves_only(verify._protocol_options(c, protocol.decide)), sequential)
+            for sequential in (False, True)
+            for c in configurations(9, 4) if protocol.phase(c) != "invalid"]
+
+
+SUCCESSOR_CASES = {"refuter": _refuter_cases, "refuter-moves": _refuter_move_cases,
+                   "protocol-9": _protocol_cases, "protocol-9-moves": _protocol_move_cases}
+
+
+@pytest.mark.parametrize("name", sorted(SUCCESSOR_CASES))
+def test_successor_order_pinned(name):
+    assert _branches_sha256(SUCCESSOR_CASES[name]()) == SUCCESSORS_SHA256[name]
 
 
 # SHA-256 of the stdout of ``verify --n 12 --traces 5 --seed 3``.

@@ -192,6 +192,24 @@ class TestWorkerPool:
         assert (part["bad_terminal"], part["forcing"], part["unrefuted"]) == (11121, 16662, 0)
 
 
+def test_report_validates_each_example_before_printing(monkeypatch):
+    # Every example certificate goes through validate_certificate, in the
+    # report's order; a certificate that fails it never reaches stdout.
+    checked = []
+    validate = imp.validate_certificate
+
+    def recording(table, cert, mode):
+        validate(table, cert, mode)
+        checked.append((mode, cert.kind, cert.witness))
+
+    monkeypatch.setattr(imp, "validate_certificate", recording)
+    report = imp.theorem2_report(modes=("sequential",))
+    examples = report["modes"]["sequential"]["example_certificates"]
+    assert checked == [("sequential", kind, example["witness"])
+                       for kind, example in examples.items()]
+    assert len(checked) == 3
+
+
 class TestRefuteKnownProtocols:
     def test_all_idle_is_bad_terminal(self, classes):
         table = tuple(1 for _ in classes)
@@ -456,15 +474,30 @@ def dihedral_images(config, mask):
     return images
 
 
-def reachable_states(tb, tm, mode):
+def kept_branches(tb, mode):
+    """Per configuration id, the kept branches ``_Tables`` builds its
+    ``allowed`` table from, rebuilt through ``_Tables._undominated``: the
+    move-only branches of ``engine.successors``, those with one outcome in
+    sequential mode, less the dominated ones."""
+    out = []
+    for cid, c in enumerate(tb.configs):
+        moving = list(engine.successors(c, lambda v, cid=cid: tb.options[(cid, v)][1:]))
+        if mode == "sequential":
+            moving = [branch for branch in moving if len(branch[1]) == 1]
+        out.append(tb._undominated(moving))
+    return out
+
+
+def reachable_states(tb, tm, branches):
     """Every (config id, visited mask) state a plain BFS over concrete states,
-    without any quotient, reaches from the initial state under the table."""
+    without any quotient, reaches from the initial state under the table,
+    over the kept ``branches`` per configuration id."""
     start = (tb.initial_cid, tb.initial_mask)
     reached = {start}
     queue = [start]
     while queue:
         cid, mask = queue.pop()
-        for req, succ_cid, succ_occ, _ in tb.combos[mode][cid]:
+        for req, succ_cid, succ_occ, _ in branches[cid]:
             succ = (succ_cid >> imp.N, mask | succ_occ)
             if not req & ~tm and succ not in reached:
                 reached.add(succ)
@@ -489,6 +522,7 @@ class TestSymmetryClosure:
         # A plain BFS over concrete states, without any quotient, reaches the
         # same orbits as the search, which keeps one state of each.
         tb = imp._tables()
+        branches = kept_branches(tb, mode)
 
         def orbit(state):
             cid, mask = state
@@ -503,7 +537,7 @@ class TestSymmetryClosure:
             complete += 1
             expanded = {orbit(divmod(state, 1 << imp.N)) for state in parents}
             assert len(expanded) == len(parents)
-            assert expanded == {orbit(state) for state in reachable_states(tb, tm, mode)}
+            assert expanded == {orbit(state) for state in reachable_states(tb, tm, branches)}
         assert complete >= 5
 
 
@@ -563,7 +597,7 @@ class TestDominatedBranches:
     def test_kept_branch_counts(self, mode, kept, total):
         tb = imp._tables()
         assert sum(map(len, unpruned_branches(tb, mode))) == total
-        assert sum(map(len, tb.combos[mode])) == kept
+        assert sum(map(len, kept_branches(tb, mode))) == kept
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_only_dominated_branches_are_dropped(self, mode):
@@ -571,14 +605,15 @@ class TestDominatedBranches:
         # branches that an earlier kept branch dominates: same successor, and
         # a subset of the required bits.
         tb = imp._tables()
+        combos = kept_branches(tb, mode)
         for cid, rows in enumerate(unpruned_branches(tb, mode)):
             kept = []
             for req, succ_cid, combo in rows:
                 if not any(k_succ == succ_cid and k_req & ~req == 0 for k_req, k_succ, _ in kept):
                     kept.append((req, succ_cid, combo))
-            got = [(req, succ >> imp.N, combo) for req, succ, _, combo in tb.combos[mode][cid]]
+            got = [(req, succ >> imp.N, combo) for req, succ, _, combo in combos[cid]]
             assert got == kept, tb.configs[cid]
-            for req, succ, occupied, _ in tb.combos[mode][cid]:
+            for req, succ, occupied, _ in combos[cid]:
                 assert occupied == sum(1 << v for v, n in enumerate(tb.configs[succ >> imp.N]) if n)
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
@@ -613,7 +648,7 @@ class TestAllowedBranches:
         # decides it.  An entry is empty exactly when its key is 0, where the
         # table gives the configuration no move.
         tb = imp._Tables()
-        for cid, rows in enumerate(tb.combos[mode]):
+        for cid, rows in enumerate(kept_branches(tb, mode)):
             moves = tb.config_moves[cid]
             assert all(req & ~moves == 0 for req, _, _, _ in rows), tb.configs[cid]
             entries = tb.allowed[mode][cid]
@@ -692,6 +727,7 @@ class TestForcingGame:
         # The game starts from the identity states of every reachable
         # configuration, as the search leaves them.
         tb = imp._tables()
+        branches = kept_branches(tb, mode)
         checked = 0
         for index in range(0, imp.protocol_space_size(classes), 250):
             table = imp.protocol_at(classes, index)
@@ -700,7 +736,7 @@ class TestForcingGame:
                 continue  # the forcing game is never played
             checked += 1
             tm = imp.table_mask(table)
-            reached = {canonical_form(tb.configs[cid]) for cid, _ in reachable_states(tb, tm, mode)}
+            reached = {canonical_form(tb.configs[cid]) for cid, _ in reachable_states(tb, tm, branches)}
             states = [s for s in itertools.product(range(4), repeat=3)
                       if canonical_form(tuple(s.count(v) for v in range(4))) in reached]
             trap = {tuple(s) for s in cert.witness["trap_states"]} if cert.witness else set()
