@@ -20,7 +20,10 @@ concrete state per symmetry orbit, and every witness path is a concrete run
 from the initial state: configuration (1, 1, 1, 0) with nodes 0, 1, 2 visited.
 The branches a table allows from a configuration depend only on its move bits
 there, so the search reads them from a table built once, one entry per (mode,
-configuration, move bits).
+configuration, move bits).  The certificate kind, too, is a function of the
+table's move bits alone (the idle bit of a support never changes it), so
+``refute`` computes it once per (mode, move bits): at most 4^3 * 2^4 = 1,024
+refutations per mode for the 27,783 tables.
 The forcing game runs over the N^K identity states (the node of each robot),
 every set of them a mask with one bit per identity state, so its fixpoints are
 a few integer operations.
@@ -150,7 +153,8 @@ class _Tables:
     four-ring: view classes, configurations, each robot's options, the kept
     branches per configuration that a table's move bits there allow
     (``allowed``, per mode), the symmetry orbits, and the forcing game
-    packed per view class and support field (``game``).
+    packed per view class and support field (``game``), plus the memo of
+    certificate kinds per mode and move bits (``kinds``).
     ``_tables`` builds them once per process."""
 
     def __init__(self) -> None:
@@ -184,6 +188,19 @@ class _Tables:
         self.config_moves = [0] * len(self.configs)
         for (cid, _), bits in self.node_moves.items():
             self.config_moves[cid] |= bits
+        self.move_bits = 0
+        for bits in self.config_moves:
+            self.move_bits |= bits
+
+        # Per mode, the certificate kind of each table's move bits
+        # ``tm & move_bits``, filled by ``refute``.  Exact: ``_search`` reads
+        # the table only as ``tm & config_moves[cid]``; ``game[i][f]`` is
+        # built from ``f << shift & (fwd_bit | bwd_bit)``, so it equals
+        # ``game[i][f & 6]``; and ``_fair_trap`` reads only the game and
+        # ``expanded``.  Bounded by construction: one entry per move pattern,
+        # 4 per asymmetric class and 2 per symmetric one, 4^3 * 2^4 = 1,024
+        # per mode.
+        self.kinds: dict[str, dict[int, str]] = {"distributed": {}, "sequential": {}}
 
         # Per mode and config, the kept branches, as (required element bits,
         # successor config id << N, successor occupied-node mask, combo),
@@ -495,13 +512,33 @@ def _strategy_cycle(game: _Game, trap: int, entry: int) -> list[dict]:
 # Refutation
 # ---------------------------------------------------------------------------
 
-def refute(table: ProtocolTable, mode: str = "distributed",
-           with_witness: bool = True) -> Certificate:
-    """Certificate for one protocol table under the given scheduler mode."""
+def _check_mode(mode: str) -> None:
     if mode not in ("distributed", "sequential"):
         raise ValueError(f"unknown scheduler mode {mode!r}")
+
+
+def refute(table: ProtocolTable, mode: str = "distributed",
+           with_witness: bool = True) -> Certificate:
+    """Certificate for one protocol table under the given scheduler mode.
+
+    The kind is a function of the table's move bits, so without a witness
+    it is looked up per (mode, move bits) and computed only on a miss.  A
+    witness is always built afresh: witness dicts are mutable and never
+    shared."""
+    _check_mode(mode)
     tb = _tables()
     tm = table_mask(table)
+    if with_witness:
+        return _certificate(tb, tm, mode, with_witness=True)
+    kinds = tb.kinds[mode]
+    key = tm & tb.move_bits
+    kind = kinds.get(key)
+    if kind is None:
+        kind = kinds[key] = _certificate(tb, tm, mode, with_witness=False).kind
+    return Certificate(kind)
+
+
+def _certificate(tb: _Tables, tm: int, mode: str, with_witness: bool) -> Certificate:
     bad, parents, expanded = _search(tm, mode)
     if bad is not None:
         witness = None
@@ -560,9 +597,11 @@ def _node(key) -> int:
 def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> None:
     """Replay a certificate against the table; raises ValueError on any step
     whose outcome the table does not actually allow, on malformed states,
-    and on a malformed table.  An unrefuted certificate has nothing to
-    replay, so it holds only when ``refute`` finds no refutation either.
-    Activation nodes may be strings, as a JSON round trip leaves them."""
+    on a malformed table, and on an unknown mode, as ``refute`` does.  An
+    unrefuted certificate has nothing to replay, so it holds only when
+    ``refute`` finds no refutation either.  Activation nodes may be strings,
+    as a JSON round trip leaves them."""
+    _check_mode(mode)
     tb = _tables()
     tm = table_mask(table)
     if cert.kind == UNREFUTED:

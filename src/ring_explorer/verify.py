@@ -107,9 +107,10 @@ def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
     ``before``: from a scatter, any towerless one; from a 4-segment, itself or
     a primary arrow on its own four nodes; from an arrow, itself or the arrow
     with the same tower and head grown by one (the final arrow included); from
-    the final arrow or an invalid snapshot, only itself.  Memoised: the run
-    monitor's steps and trials revisit the same few thousand configurations,
-    and the one-step checks share the memo."""
+    the final arrow or an invalid snapshot, only itself.  Memoised for the
+    run monitor, whose steps and trials revisit the same few thousand
+    configurations; the one-step checks ask about each configuration once,
+    so they call ``successor_rule.__wrapped__`` and leave the memo alone."""
     kind = phase(before)
     if kind == "scatter":
         return is_towerless
@@ -229,7 +230,8 @@ def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) 
     and ``instances_checked`` counts the branches."""
     placements = (_towerless(n, nodes) for nodes in _four_segments(n))
     report, count = _check_successors("four-segment-successors", n,
-                                      ((c, successor_rule(c)) for c in placements), decide)
+                                      ((c, successor_rule.__wrapped__(c)) for c in placements),
+                                      decide)
     report.details = {"n": n, "placements": count}
     return report
 
@@ -260,7 +262,8 @@ def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) ->
                             report.violations.append({"config": c, "reason": f"node {node} moves"})
                     elif d.kind != default_protocol.MOVE or d.target != (node - orientation) % n:
                         report.violations.append({"config": c, "reason": "tail decision"})
-                    elif not successor_rule(c)(_arrow_config(n, tower, orientation, size + 1)):
+                    elif not successor_rule.__wrapped__(c)(
+                            _arrow_config(n, tower, orientation, size + 1)):
                         report.violations.append({"config": c, "reason": "successor not a grown arrow"})
     report.details = {"n": n, "tail_moves_to_terminal": n - 4}
     return report

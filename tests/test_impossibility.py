@@ -147,14 +147,37 @@ class TestTableValidation:
     @pytest.mark.parametrize("kind", MALFORMED)
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_refute_rejects_malformed_table(self, classes, kind, mode):
-        with pytest.raises(ValueError, match="view class|mask_choices"):
-            imp.refute(malformed_table(classes, kind), mode)
+        # The all-idle table memoises move key 0 first.  Each malformed table
+        # with nonnegative entries has move key 0 too, and table_mask still
+        # rejects it before the lookup.
+        imp.refute(imp.protocol_at(classes, 0), mode, with_witness=False)
+        assert 0 in imp._tables().kinds[mode]
+        table = malformed_table(classes, kind)
+        if min(table) >= 0:
+            raw = 0
+            for index, mask in enumerate(table):
+                raw |= mask << 3 * index
+            assert raw & imp._tables().move_bits == 0
+        for with_witness in (False, True):
+            with pytest.raises(ValueError, match="view class|mask_choices"):
+                imp.refute(table, mode, with_witness=with_witness)
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_validate_certificate_rejects_malformed_table(self, classes, kind):
         cert = imp.Certificate(imp.UNREFUTED)
         with pytest.raises(ValueError, match="view class|mask_choices"):
             imp.validate_certificate(malformed_table(classes, kind), cert, "distributed")
+
+    def test_unknown_mode_rejected(self, classes):
+        # The all-idle table's certificate validates in distributed mode; in
+        # an unknown mode validate_certificate raises what refute raises.
+        table = imp.protocol_at(classes, 0)
+        cert = imp.refute(table, "distributed")
+        imp.validate_certificate(table, cert, "distributed")
+        with pytest.raises(ValueError, match="unknown scheduler mode 'bogus'"):
+            imp.refute(table, "bogus")
+        with pytest.raises(ValueError, match="unknown scheduler mode 'bogus'"):
+            imp.validate_certificate(table, cert, "bogus")
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_report_rejects_fewer_than_one_job(self, jobs):
@@ -208,6 +231,40 @@ def test_report_validates_each_example_before_printing(monkeypatch):
     assert checked == [("sequential", kind, example["witness"])
                        for kind, example in examples.items()]
     assert len(checked) == 3
+
+
+MOVE_PATTERNS = 4 ** 3 * 2 ** 4  # move parts: 4 per asymmetric class, 2 per symmetric
+
+
+class TestKindMemo:
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_memoised_kind_matches_witnessed_kind(self, classes, mode, monkeypatch):
+        # A fresh memo, so the slice both fills it and hits it.
+        monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+        tables = list(imp.enumerate_protocols(classes))[::7]
+        for table in tables:
+            memoised = imp.refute(table, mode, with_witness=False)
+            assert memoised == imp.Certificate(imp.refute(table, mode).kind), table
+        assert len(imp._tables().kinds[mode]) < len(tables)
+
+    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
+    def test_equal_move_bits_give_equal_certificates(self, classes, mode):
+        tb = imp._tables()
+        first, last = {}, {}
+        for table in imp.enumerate_protocols(classes):
+            key = imp.table_mask(table) & tb.move_bits
+            first.setdefault(key, table)
+            last[key] = table
+        assert len(first) == MOVE_PATTERNS
+        for key, table in first.items():
+            assert imp.refute(table, mode) == imp.refute(last[key], mode), key
+
+    def test_report_fills_one_entry_per_move_pattern(self, monkeypatch):
+        monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+        assert imp._tables().kinds == {"distributed": {}, "sequential": {}}
+        imp.theorem2_report()
+        assert {mode: len(kinds) for mode, kinds in imp._tables().kinds.items()} == {
+            "distributed": MOVE_PATTERNS, "sequential": MOVE_PATTERNS}
 
 
 class TestRefuteKnownProtocols:

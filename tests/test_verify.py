@@ -169,6 +169,15 @@ class TestPhase3Monotone:
         assert report.details["tail_moves_to_terminal"] == moves
 
 
+def test_one_step_checks_leave_the_monitor_memo_alone():
+    # The 4-segment and arrow checks ask about each configuration once, so
+    # they compute the rule directly; the memo is the run monitor's.
+    verify.successor_rule.cache_clear()
+    assert check_four_segment_step(20).passed
+    assert check_phase3_monotone(20).passed
+    assert verify.successor_rule.cache_info().currsize == 0
+
+
 class TestInstanceCounts:
     """Closed forms for the three one-step checks' instance counts: at n = 20
     they give the 83,035 / 700 / 680 instances ``verify`` reports."""
