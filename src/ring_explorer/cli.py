@@ -154,7 +154,7 @@ def _cmd_impossible(args: argparse.Namespace) -> int:
         report = part | {"modes": report.get("modes", {}) | part["modes"]}
         counts = part["modes"][mode]
         print(f"{mode}: {counts['bad_terminal']} bad-terminal, {counts['forcing']} forcing, "
-              f"{counts['unrefuted']} unrefuted ({time.perf_counter() - start:.1f} s)",
+              f"{counts['unrefuted']} unrefuted ({time.perf_counter() - start:.2f} s)",
               file=sys.stderr)
         ok &= (counts["unrefuted"] == 0) if mode == "distributed" else (counts["unrefuted"] >= 1)
     _emit(json.dumps(report, indent=2), args.output)

@@ -22,8 +22,9 @@ The branches a table allows from a configuration depend only on its move bits
 there, so the search reads them from a table built once, one entry per (mode,
 configuration, move bits).  The certificate kind, too, is a function of the
 table's move bits alone (the idle bit of a support never changes it), so
-``refute`` computes it once per (mode, move bits): at most 4^3 * 2^4 = 1,024
-refutations per mode for the 27,783 tables.
+``refute`` memoises it per (mode, move bits), and ``theorem2_report`` refutes
+each of the 4^3 * 2^4 = 1,024 move patterns once per mode, weighted by its
+number of tables: 27,783 in all.
 The forcing game runs over the N^K identity states (the node of each robot),
 every set of them a mask with one bit per identity state, so its fixpoints are
 a few integer operations.
@@ -33,7 +34,9 @@ class's support, split into one mask per robot and kind of forcing action.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -88,28 +91,12 @@ def enumerate_view_classes(n: int = N, k: int = K) -> list[ViewClass]:
 
 
 def protocol_space_size(classes: list[ViewClass]) -> int:
-    size = 1
-    for vc in classes:
-        size *= len(vc.mask_choices)
-    return size
+    return math.prod(len(vc.mask_choices) for vc in classes)
 
 
 def enumerate_protocols(classes: list[ViewClass]) -> Iterator[ProtocolTable]:
     """Every assignment of a nonempty support to every view class."""
-    for masks in itertools.product(*(vc.mask_choices for vc in classes)):
-        yield masks
-
-
-def protocol_at(classes: list[ViewClass], index: int) -> ProtocolTable:
-    """The table ``enumerate_protocols`` yields at ``index``, unranked in
-    mixed radix: the last class varies fastest."""
-    if not 0 <= index < protocol_space_size(classes):
-        raise IndexError(f"protocol index {index} out of range")
-    table = []
-    for vc in reversed(classes):
-        index, digit = divmod(index, len(vc.mask_choices))
-        table.append(vc.mask_choices[digit])
-    return tuple(reversed(table))
+    return itertools.product(*(vc.mask_choices for vc in classes))
 
 
 def describe_protocol(classes: list[ViewClass], table: ProtocolTable) -> dict:
@@ -600,10 +587,17 @@ def validate_certificate(table: ProtocolTable, cert: Certificate, mode: str) -> 
     on a malformed table, and on an unknown mode, as ``refute`` does.  An
     unrefuted certificate has nothing to replay, so it holds only when
     ``refute`` finds no refutation either.  Activation nodes may be strings,
-    as a JSON round trip leaves them."""
+    as a JSON round trip leaves them; a witness with a missing field or a
+    field of the wrong type is malformed, and raises ValueError too."""
     _check_mode(mode)
-    tb = _tables()
     tm = table_mask(table)
+    try:
+        _replay(_tables(), table, tm, cert, mode)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed certificate: {exc!r}") from None
+
+
+def _replay(tb: _Tables, table: ProtocolTable, tm: int, cert: Certificate, mode: str) -> None:
     if cert.kind == UNREFUTED:
         if refute(table, mode, with_witness=False).kind != UNREFUTED:
             raise ValueError("table is refutable: the unrefuted certificate is false")
@@ -737,27 +731,28 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
 # Full enumeration report
 # ---------------------------------------------------------------------------
 
-def _count_mode(mode: str, lo: int, hi: int) -> tuple[dict, dict]:
-    classes = _tables().classes
-    counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
-    first: dict[str, int] = {}
-    for idx in range(lo, hi):
-        cert = refute(protocol_at(classes, idx), mode, with_witness=False)
-        counts[cert.kind] += 1
-        first.setdefault(cert.kind, idx)
-    return counts, first
+def _move_patterns(classes: list[ViewClass]) -> list[tuple[ProtocolTable, int]]:
+    """Each move pattern's first table, in table order, with its weight: the
+    number of tables with its move bits.  Adding the idle bit to a support
+    that moves keeps its move bits, so each such entry doubles the weight."""
+    firsts = [[mask for mask in vc.mask_choices if mask == IDLE_BIT or not mask & IDLE_BIT]
+              for vc in classes]
+    return [(table, 2 ** sum(mask != IDLE_BIT for mask in table))
+            for table in itertools.product(*firsts)]
 
 
 def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
                     jobs: int = 1) -> dict:
     """Refute every support-level protocol in each scheduler mode and report
     certificate-kind counts with one example certificate per kind, each
-    checked with ``validate_certificate`` before it is reported.  The
-    tables are split over ``jobs`` worker processes, at most one per CPU."""
+    checked with ``validate_certificate`` before it is reported.  A table's
+    kind is a function of its move bits, so each move pattern is refuted once,
+    through its first table, and counts for every table that shares its move
+    bits.  The patterns are split over ``jobs`` worker processes, at most one
+    per CPU."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tb = _tables()
-    classes = tb.classes
+    classes = _tables().classes
     total = protocol_space_size(classes)
     asym = sum(1 for vc in classes if not vc.symmetric)
     sym = len(classes) - asym
@@ -768,32 +763,34 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
         "total": total,
         "modes": {},
     }
-    # One slice of the tables per worker, and no more workers than CPUs.
+    patterns = _move_patterns(classes)
+    tables = [table for table, _ in patterns]
+    # One slice of the patterns per worker, and no more workers than CPUs.
     workers = min(jobs, os.cpu_count() or 1)
-    chunk = -(-total // workers)
     for mode in modes:
-        ranges = [(mode, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        kind_of = functools.partial(refute, mode=mode, with_witness=False)
         if workers == 1:
-            parts = list(itertools.starmap(_count_mode, ranges))
+            certs = list(map(kind_of, tables))
         else:
             import multiprocessing
 
-            with multiprocessing.Pool(len(ranges)) as pool:
-                parts = pool.starmap(_count_mode, ranges)
+            with multiprocessing.Pool(workers) as pool:
+                certs = pool.map(kind_of, tables, chunksize=-(-len(tables) // workers))
         counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
-        first: dict[str, int] = {}
-        for part_counts, part_first in parts:  # in table order
-            for kind, value in part_counts.items():
-                counts[kind] += value
-            for kind, idx in part_first.items():
-                first.setdefault(kind, idx)
+        first: dict[str, ProtocolTable] = {}
+        for (table, weight), cert in zip(patterns, certs):
+            counts[cert.kind] += weight
+            first.setdefault(cert.kind, table)  # patterns are in table order
         examples = {}
-        for kind, idx in sorted(first.items()):
-            table = protocol_at(classes, idx)
+        for kind, table in sorted(first.items()):
             cert = refute(table, mode, with_witness=True)
             validate_certificate(table, cert, mode)
+            # Its index in ``enumerate_protocols``: mixed radix, last class fastest.
+            index = 0
+            for vc, mask in zip(classes, table):
+                index = index * len(vc.mask_choices) + vc.mask_choices.index(mask)
             examples[kind] = {
-                "protocol_index": idx,
+                "protocol_index": index,
                 "table": describe_protocol(classes, table),
                 "witness": cert.witness,
             }

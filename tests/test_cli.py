@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,20 @@ class TestVerify:
             "arrow-growth", "mrp-lower-bounds",
         }
         assert all(r["passed"] for r in reports)
+
+
+class TestImpossible:
+    def test_counts_and_timing_on_stderr(self, capsys):
+        # A mode takes a fraction of a second, so its time has two decimals.
+        assert main(["impossible", "--mode", "both"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["modes"]["sequential"]["unrefuted"] == 40
+        lines = captured.err.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "distributed: 11121 bad-terminal, 16662 forcing, 0 unrefuted",
+            "sequential: 7757 bad-terminal, 19986 forcing, 40 unrefuted",
+        ]
+        assert all(re.fullmatch(r".* \(\d+\.\d\d s\)", line) for line in lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,6 +35,10 @@ def classes():
     return imp.enumerate_view_classes()
 
 
+# Every table, at its index in the enumeration.
+TABLES = list(imp.enumerate_protocols(imp.enumerate_view_classes()))
+
+
 def class_index(classes, config, node):
     return next(vc.index for vc in classes if vc.view == view_of(config, node).as_pair())
 
@@ -97,25 +101,20 @@ class TestProtocolEnumeration:
         assert all_idle_seen == 1
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
-    def test_count_chunk_matches_one_by_one(self, classes, mode):
-        lo, hi = 27700, 27783
+    def test_report_matches_per_table_refute(self, mode):
+        # Refuting every table one by one gives the report's weighted counts
+        # and the index of each kind's first table.
         counts = {imp.BAD_TERMINAL: 0, imp.FORCING: 0, imp.UNREFUTED: 0}
         first = {}
-        tables = list(imp.enumerate_protocols(classes))
-        for idx in range(lo, hi):
-            kind = imp.refute(tables[idx], mode, with_witness=False).kind
+        for index, table in enumerate(TABLES):
+            kind = imp.refute(table, mode, with_witness=False).kind
             counts[kind] += 1
-            first.setdefault(kind, idx)
-        assert imp._count_mode(mode, lo, hi) == (counts, first)
-
-    def test_protocol_at_matches_enumeration(self, classes):
-        tables = list(imp.enumerate_protocols(classes))
-        indices = [0, 1, len(tables) - 1] + random.Random(3).sample(range(len(tables)), 50)
-        for index in indices:
-            assert imp.protocol_at(classes, index) == tables[index]
-        for index in (-1, len(tables)):
-            with pytest.raises(IndexError):
-                imp.protocol_at(classes, index)
+            first.setdefault(kind, index)
+        part = imp.theorem2_report(modes=(mode,))["modes"][mode]
+        assert (part["bad_terminal"], part["forcing"], part["unrefuted"]) == (
+            counts[imp.BAD_TERMINAL], counts[imp.FORCING], counts[imp.UNREFUTED])
+        assert {kind: example["protocol_index"]
+                for kind, example in part["example_certificates"].items()} == first
 
 
 def malformed_table(classes, kind):
@@ -150,7 +149,7 @@ class TestTableValidation:
         # The all-idle table memoises move key 0 first.  Each malformed table
         # with nonnegative entries has move key 0 too, and table_mask still
         # rejects it before the lookup.
-        imp.refute(imp.protocol_at(classes, 0), mode, with_witness=False)
+        imp.refute(TABLES[0], mode, with_witness=False)
         assert 0 in imp._tables().kinds[mode]
         table = malformed_table(classes, kind)
         if min(table) >= 0:
@@ -171,7 +170,7 @@ class TestTableValidation:
     def test_unknown_mode_rejected(self, classes):
         # The all-idle table's certificate validates in distributed mode; in
         # an unknown mode validate_certificate raises what refute raises.
-        table = imp.protocol_at(classes, 0)
+        table = TABLES[0]
         cert = imp.refute(table, "distributed")
         imp.validate_certificate(table, cert, "distributed")
         with pytest.raises(ValueError, match="unknown scheduler mode 'bogus'"):
@@ -200,8 +199,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, func, iterable):
-        return list(itertools.starmap(func, iterable))
+    def map(self, func, iterable, chunksize):
+        return list(map(func, iterable))
 
 
 class TestWorkerPool:
@@ -241,7 +240,7 @@ class TestKindMemo:
     def test_memoised_kind_matches_witnessed_kind(self, classes, mode, monkeypatch):
         # A fresh memo, so the slice both fills it and hits it.
         monkeypatch.setattr(imp, "_TABLES", imp._Tables())
-        tables = list(imp.enumerate_protocols(classes))[::7]
+        tables = TABLES[::7]
         for table in tables:
             memoised = imp.refute(table, mode, with_witness=False)
             assert memoised == imp.Certificate(imp.refute(table, mode).kind), table
@@ -249,22 +248,63 @@ class TestKindMemo:
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_equal_move_bits_give_equal_certificates(self, classes, mode):
+        # The first table of each move key, in enumeration order, is the
+        # report's pattern table, and the key's table count is its weight.
         tb = imp._tables()
-        first, last = {}, {}
-        for table in imp.enumerate_protocols(classes):
+        first, last, count = {}, {}, {}
+        for table in TABLES:
             key = imp.table_mask(table) & tb.move_bits
             first.setdefault(key, table)
             last[key] = table
+            count[key] = count.get(key, 0) + 1
         assert len(first) == MOVE_PATTERNS
+        patterns = imp._move_patterns(classes)
+        assert list(first.values()) == [table for table, _ in patterns]
+        assert list(count.values()) == [weight for _, weight in patterns]
+        assert sum(weight for _, weight in patterns) == imp.protocol_space_size(classes)
         for key, table in first.items():
             assert imp.refute(table, mode) == imp.refute(last[key], mode), key
 
     def test_report_fills_one_entry_per_move_pattern(self, monkeypatch):
+        # The report refutes each move pattern once per mode; every other
+        # refutation it asks for builds an example's witness.
         monkeypatch.setattr(imp, "_TABLES", imp._Tables())
         assert imp._tables().kinds == {"distributed": {}, "sequential": {}}
+        certificate = imp._certificate
+        refuted = []
+
+        def counting(tb, tm, mode, with_witness):
+            refuted.append((mode, with_witness))
+            return certificate(tb, tm, mode, with_witness)
+
+        monkeypatch.setattr(imp, "_certificate", counting)
         imp.theorem2_report()
         assert {mode: len(kinds) for mode, kinds in imp._tables().kinds.items()} == {
             "distributed": MOVE_PATTERNS, "sequential": MOVE_PATTERNS}
+        assert refuted.count(("distributed", False)) == MOVE_PATTERNS
+        assert refuted.count(("sequential", False)) == MOVE_PATTERNS
+        assert len(refuted) == 2 * MOVE_PATTERNS + 5
+
+    def test_first_example_indices(self, classes):
+        # Each example is the first table of its kind, and its index names
+        # the table it describes.
+        report = imp.theorem2_report()
+        assert {mode: {kind: example["protocol_index"]
+                       for kind, example in part["example_certificates"].items()}
+                for mode, part in report["modes"].items()} == {
+            "distributed": {imp.BAD_TERMINAL: 0, imp.FORCING: 75},
+            "sequential": {imp.BAD_TERMINAL: 0, imp.FORCING: 66, imp.UNREFUTED: 5670},
+        }
+        for part in report["modes"].values():
+            for kind, example in part["example_certificates"].items():
+                table = TABLES[example["protocol_index"]]
+                assert imp.describe_protocol(classes, table) == example["table"]
+
+    def test_sequential_unrefuted_tables_are_six_patterns(self, classes):
+        unrefuted = [(table, weight) for table, weight in imp._move_patterns(classes)
+                     if imp.refute(table, "sequential", with_witness=False).kind == imp.UNREFUTED]
+        assert len(unrefuted) == 6
+        assert sum(weight for _, weight in unrefuted) == 40
 
 
 class TestRefuteKnownProtocols:
@@ -377,7 +417,7 @@ class TestCertificateValidation:
         # A real forcing certificate whose trap keeps only the states its
         # cycle rows and their alternative moves touch: every cycle row still
         # replays, but the trap is no longer closed, or it drops its entry.
-        table = imp.protocol_at(classes, index)
+        table = TABLES[index]
         witness = imp.refute(table, mode).witness
         touched = set()
         for row in witness["cycle"]:
@@ -393,7 +433,7 @@ class TestCertificateValidation:
     def test_unfair_trap_rejected(self, classes):
         # Robot 1 bounces between these two states forever and closes them,
         # but robot 0 is never serviced in them: the trap is unfair.
-        table = imp.protocol_at(classes, 12516)
+        table = TABLES[12516]
         witness = imp.refute(table, "distributed").witness
         cert = imp.Certificate(imp.FORCING, witness | {"trap_states": [[0, 0, 1], [0, 1, 1]]})
         with pytest.raises(ValueError, match="does not keep every robot serviceable"):
@@ -406,7 +446,7 @@ class TestCertificateValidation:
     ], ids=["unvisited", "terminal-config", "trap-size"])
     def test_forged_summary_rejected(self, classes, index, mode, field, value, message):
         # A real certificate whose summary field disagrees with its path or trap.
-        table = imp.protocol_at(classes, index)
+        table = TABLES[index]
         cert = imp.refute(table, mode)
         assert cert.witness[field] != value
         forged = imp.Certificate(cert.kind, cert.witness | {field: value})
@@ -417,7 +457,7 @@ class TestCertificateValidation:
     def test_alternative_moves_match_the_support(self, classes, forgery):
         # Table 308's distributed cycle has rows where the mover picks the
         # direction and rows where the support allows one direction only.
-        table = imp.protocol_at(classes, 308)
+        table = TABLES[308]
         witness = copy.deepcopy(imp.refute(table, "distributed").witness)
         rows = witness["cycle"]
         either = [row for row in rows if "alternative_moves" in row]
@@ -437,13 +477,20 @@ class TestCertificateValidation:
         ("activation-node-off-ring", "is not a node"),
         ("cycle-state-wrong-length", "is not a state of three robots"),
         ("cycle-robot-out-of-range", "no robot"),
+        ("empty-bad-terminal-witness", "malformed certificate: KeyError"),
+        ("witness-is-a-list", "malformed certificate: TypeError"),
+        ("no-entry-config", "malformed certificate: KeyError"),
+        ("path-step-without-activation", "malformed certificate: KeyError"),
     ], ids=["trap-state-off-ring", "activation-node-off-ring", "cycle-state-wrong-length",
-            "cycle-robot-out-of-range"])
+            "cycle-robot-out-of-range", "empty-bad-terminal-witness", "witness-is-a-list",
+            "no-entry-config", "path-step-without-activation"])
     def test_malformed_certificates_rejected(self, classes, malformed, message):
         # A real forcing certificate with one state, node or robot that does
-        # not exist in the three-robot four-ring.
-        table = imp.protocol_at(classes, 370)
+        # not exist in the three-robot four-ring, or with a field missing or
+        # of the wrong type, as a witness read back from JSON may be.
+        table = TABLES[370]
         witness = copy.deepcopy(imp.refute(table, "sequential").witness)
+        kind = imp.FORCING
         if malformed == "trap-state-off-ring":
             witness["trap_states"].append([5, 0, 0])
         elif malformed == "activation-node-off-ring":
@@ -452,10 +499,18 @@ class TestCertificateValidation:
             # Also declared a trap state, so that trap membership cannot catch it.
             witness["cycle"][0]["state"] = [0, 0, 1, 2]
             witness["trap_states"].append([0, 0, 1, 2])
-        else:
+        elif malformed == "cycle-robot-out-of-range":
             witness["cycle"][0]["robot"] = 5
+        elif malformed == "empty-bad-terminal-witness":
+            kind, witness = imp.BAD_TERMINAL, {}
+        elif malformed == "witness-is-a-list":
+            kind, witness = imp.BAD_TERMINAL, [witness]
+        elif malformed == "no-entry-config":
+            del witness["entry_config"]
+        else:
+            del witness["entry_path"][0]["activation"]
         with pytest.raises(ValueError, match=message):
-            imp.validate_certificate(table, imp.Certificate(imp.FORCING, witness), "sequential")
+            imp.validate_certificate(table, imp.Certificate(kind, witness), "sequential")
 
     @pytest.mark.parametrize("index, mode, kind", [
         (74, "distributed", imp.BAD_TERMINAL),
@@ -465,7 +520,7 @@ class TestCertificateValidation:
     ])
     def test_json_round_trip_validates(self, classes, index, mode, kind):
         # JSON turns the activation's int node keys into strings.
-        table = imp.protocol_at(classes, index)
+        table = TABLES[index]
         cert = imp.refute(table, mode)
         assert cert.kind == kind
         witness = json.loads(json.dumps(cert.witness))
@@ -479,8 +534,7 @@ class TestCertificateValidation:
 
     def test_sequential_witnesses_use_singleton_activations(self, classes):
         rng = random.Random(4)
-        tables = list(imp.enumerate_protocols(classes))
-        for table in rng.sample(tables, 60):
+        for table in rng.sample(TABLES, 60):
             cert = imp.refute(table, "sequential")
             if cert.kind == imp.BAD_TERMINAL:
                 for step in cert.witness["path"][:-1]:
@@ -498,7 +552,7 @@ class TestCertificateValidation:
         # An unrefuted certificate holds only where ``refute`` finds nothing:
         # table 0 (all idle) is bad-terminal in both modes, table 5670 only
         # in distributed mode.
-        table = imp.protocol_at(classes, index)
+        table = TABLES[index]
         assert (imp.refute(table, mode).kind == imp.UNREFUTED) == valid
         cert = imp.Certificate(imp.UNREFUTED)
         if valid:
@@ -509,8 +563,7 @@ class TestCertificateValidation:
 
     def test_random_sample_validates_in_both_modes(self, classes):
         rng = random.Random(11)
-        tables = list(imp.enumerate_protocols(classes))
-        for table in rng.sample(tables, 120):
+        for table in rng.sample(TABLES, 120):
             for mode in ("distributed", "sequential"):
                 cert = imp.refute(table, mode)
                 imp.validate_certificate(table, cert, mode)
@@ -679,7 +732,7 @@ class TestDominatedBranches:
         branches = unpruned_branches(tb, mode)
         kinds = set()
         for index in range(0, imp.protocol_space_size(classes), 50):
-            tm = imp.table_mask(imp.protocol_at(classes, index))
+            tm = imp.table_mask(TABLES[index])
             got = imp._search(tm, mode)
             assert got == reference_search(tb, tm, branches), index
             kinds.add(got[0] is None)
@@ -719,7 +772,7 @@ class TestAllowedBranches:
     def test_search_does_not_depend_on_table_order(self, classes, monkeypatch):
         # A search reads the table alone: the tables refuted before it, in
         # whatever order, change nothing.
-        masks = [imp.table_mask(imp.protocol_at(classes, index))
+        masks = [imp.table_mask(TABLES[index])
                  for index in range(0, imp.protocol_space_size(classes), 7)]
         shuffled = random.Random(15).sample(masks, len(masks))
         results = []
@@ -787,7 +840,7 @@ class TestForcingGame:
         branches = kept_branches(tb, mode)
         checked = 0
         for index in range(0, imp.protocol_space_size(classes), 250):
-            table = imp.protocol_at(classes, index)
+            table = TABLES[index]
             cert = imp.refute(table, mode)
             if cert.kind == imp.BAD_TERMINAL:
                 continue  # the forcing game is never played
@@ -807,7 +860,7 @@ class TestForcingGame:
         tb = imp._tables()
         rng = random.Random(7)
         for index in range(0, imp.protocol_space_size(classes), 250):
-            tm = imp.table_mask(imp.protocol_at(classes, index))
+            tm = imp.table_mask(TABLES[index])
             game = imp._Game(tm)
             for _ in range(4):
                 start = rng.getrandbits(64) | rng.getrandbits(64)
@@ -844,7 +897,7 @@ class TestPackedGame:
         tb = imp._tables()
         game = unpacked_game(tb)
         for index in range(0, imp.protocol_space_size(classes), 7):
-            tm = imp.table_mask(imp.protocol_at(classes, index))
+            tm = imp.table_mask(TABLES[index])
             fields = [tm >> 3 * i & 7 for i in range(len(tb.classes))]
             moves = []
             for per_class in game:
@@ -879,7 +932,7 @@ class TestAttractor:
         rng = random.Random(10)
         deepest = 0
         for index in rng.sample(range(imp.protocol_space_size(classes)), 30):
-            tm = imp.table_mask(imp.protocol_at(classes, index))
+            tm = imp.table_mask(TABLES[index])
             game = imp._Game(tm)
             for _ in range(4):
                 trap = rng.getrandbits(64) | rng.getrandbits(64)
@@ -895,7 +948,7 @@ class TestAttractor:
     def test_goal_covering_the_trap_plays_no_round(self, classes):
         # With nothing left to reach, the attractor returns the goal without
         # asking which states the scheduler controls.
-        game = imp._Game(imp.table_mask(imp.protocol_at(classes, 308)))
+        game = imp._Game(imp.table_mask(TABLES[308]))
         game.controlled = None  # any call fails
         trap = (1 << 64) - 1
         assert game.attractor(trap, trap) == [trap]
