@@ -150,7 +150,7 @@ def _cmd_impossible(args: argparse.Namespace) -> int:
     ok = True
     for mode in modes:
         start = time.perf_counter()
-        part = impossibility.theorem2_report(modes=(mode,), jobs=args.jobs)
+        part = impossibility.theorem2_report(modes=(mode,))
         report = part | {"modes": report.get("modes", {}) | part["modes"]}
         counts = part["modes"][mode]
         print(f"{mode}: {counts['bad_terminal']} bad-terminal, {counts['forcing']} forcing, "
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impossible", help="three-robot refutation report (n=4, k=3)")
     p.add_argument("--mode", choices=["distributed", "sequential", "both"], default="both")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes (at most one per CPU)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_impossible)
     return parser

@@ -34,10 +34,8 @@ class's support, split into one mask per robot and kind of forcing action.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -641,6 +639,8 @@ def _validate_path(tb: _Tables, tm: int, path: list[dict], mode: str) -> None:
     initial = [list(tb.configs[tb.initial_cid]), _bits(tb.initial_mask)]
     if not path or [list(path[0]["config"]), list(path[0]["visited"])] != initial:
         raise ValueError("path does not start at the initial state")
+    if (path[-1]["activation"], path[-1]["outcomes"]) != (None, None):
+        raise ValueError("path's last state has an activation or outcomes")
     for j, step in enumerate(path[:-1]):
         config = list(step["config"])  # a replayed config, by the start and successor checks
         cid = tb.config_id[tuple(config)]
@@ -688,6 +688,10 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
         if not trap >> sid & 1:
             raise ValueError(f"cycle row {j}: state not in declared trap")
         positions, cid = tb.idstates[sid], tb.idstate_cid[sid]
+        if row["config"] != list(tb.configs[cid]):
+            raise ValueError(f"cycle row {j}: config does not match the state")
+        if row["kind"] not in ("activate-idle", "force"):
+            raise ValueError(f"cycle row {j}: unknown kind {row['kind']!r}")
         if tb.config_moves[cid] & tm == 0:
             raise ValueError(f"cycle row {j}: trap state is terminal")
         robot = row["robot"]
@@ -741,17 +745,13 @@ def _move_patterns(classes: list[ViewClass]) -> list[tuple[ProtocolTable, int]]:
             for table in itertools.product(*firsts)]
 
 
-def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
-                    jobs: int = 1) -> dict:
+def theorem2_report(modes: Iterable[str] = ("distributed", "sequential")) -> dict:
     """Refute every support-level protocol in each scheduler mode and report
     certificate-kind counts with one example certificate per kind, each
     checked with ``validate_certificate`` before it is reported.  A table's
     kind is a function of its move bits, so each move pattern is refuted once,
     through its first table, and counts for every table that shares its move
-    bits.  The patterns are split over ``jobs`` worker processes, at most one
-    per CPU."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    bits: 1,024 refutations per mode, in one process."""
     classes = _tables().classes
     total = protocol_space_size(classes)
     asym = sum(1 for vc in classes if not vc.symmetric)
@@ -764,23 +764,13 @@ def theorem2_report(modes: Iterable[str] = ("distributed", "sequential"),
         "modes": {},
     }
     patterns = _move_patterns(classes)
-    tables = [table for table, _ in patterns]
-    # One slice of the patterns per worker, and no more workers than CPUs.
-    workers = min(jobs, os.cpu_count() or 1)
     for mode in modes:
-        kind_of = functools.partial(refute, mode=mode, with_witness=False)
-        if workers == 1:
-            certs = list(map(kind_of, tables))
-        else:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as pool:
-                certs = pool.map(kind_of, tables, chunksize=-(-len(tables) // workers))
         counts = {BAD_TERMINAL: 0, FORCING: 0, UNREFUTED: 0}
         first: dict[str, ProtocolTable] = {}
-        for (table, weight), cert in zip(patterns, certs):
-            counts[cert.kind] += weight
-            first.setdefault(cert.kind, table)  # patterns are in table order
+        for table, weight in patterns:
+            kind = refute(table, mode, with_witness=False).kind
+            counts[kind] += weight
+            first.setdefault(kind, table)  # patterns are in table order
         examples = {}
         for kind, table in sorted(first.items()):
             cert = refute(table, mode, with_witness=True)

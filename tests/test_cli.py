@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from ring_explorer.cli import main
+
+from test_acceptance import IMPOSSIBLE_BOTH_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -89,8 +92,11 @@ class TestVerify:
 class TestImpossible:
     def test_counts_and_timing_on_stderr(self, capsys):
         # A mode takes a fraction of a second, so its time has two decimals.
+        # The per-mode reports merged on the command line hash to the pin of
+        # the in-process report.
         assert main(["impossible", "--mode", "both"]) == 0
         captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == IMPOSSIBLE_BOTH_SHA256
         assert json.loads(captured.out)["modes"]["sequential"]["unrefuted"] == 40
         lines = captured.err.splitlines()
         assert [line.split(" (")[0] for line in lines] == [
@@ -106,6 +112,7 @@ class TestImpossible:
     ("campaign", "--n", "10", "--trials", "20", "--policy", "round-robin", "--seed", "4"),
     ("verify", "--n", "9", "--traces", "3", "--seed", "2"),
     ("count", "--k", "3", "--n", "4", "--n-max", "9"),
+    ("impossible", "--mode", "both"),
 ], ids=lambda argv: argv[0])
 def test_stdout_byte_identical_across_runs(capsys, argv):
     _, first = run_cli(capsys, *argv)
@@ -126,7 +133,6 @@ HUGE = "99999999999999999999"
     ("simulate", "--n", "9", "--initial", "2,-1,1,1,1,0,0,0,0"),
     ("simulate", "--n", "9", "--initial", "1,1,x"),
     ("verify", "--traces", "-1"),
-    ("impossible", "--jobs", "0"),
     ("simulate", "--n", "8"),
     ("campaign", "--n", "8"),
     ("verify", "--n", "8"),
@@ -142,7 +148,7 @@ HUGE = "99999999999999999999"
     ("count", "--k", HUGE),
     ("count", "--k", str(sys.maxsize + 1)),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
-        "initial-negative", "initial-not-int", "traces-negative", "jobs-0",
+        "initial-negative", "initial-not-int", "traces-negative",
         "simulate-n-8", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
         "initial-three-robots", "initial-ring-size-differs", "count-n-max-below-n",
         "simulate-n-huge", "campaign-n-huge", "verify-n-huge", "count-n-huge",

@@ -3,8 +3,6 @@
 import copy
 import itertools
 import json
-import multiprocessing
-import os
 import random
 
 import pytest
@@ -177,41 +175,6 @@ class TestTableValidation:
             imp.refute(table, "bogus")
         with pytest.raises(ValueError, match="unknown scheduler mode 'bogus'"):
             imp.validate_certificate(table, cert, "bogus")
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_report_rejects_fewer_than_one_job(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            imp.theorem2_report(modes=("sequential",), jobs=jobs)
-
-
-class FakePool:
-    """Stands in for ``multiprocessing.Pool``: records its size and runs the
-    work in this process, so no worker process is started."""
-
-    sizes = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, iterable, chunksize):
-        return list(map(func, iterable))
-
-
-class TestWorkerPool:
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(FakePool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        report = imp.theorem2_report(modes=("distributed",), jobs=10**6)
-        assert FakePool.sizes == [3]
-        part = report["modes"]["distributed"]
-        assert (part["bad_terminal"], part["forcing"], part["unrefuted"]) == (11121, 16662, 0)
 
 
 def test_report_validates_each_example_before_printing(monkeypatch):
@@ -452,6 +415,43 @@ class TestCertificateValidation:
         forged = imp.Certificate(cert.kind, cert.witness | {field: value})
         with pytest.raises(ValueError, match=message):
             imp.validate_certificate(table, forged, mode)
+
+    @pytest.mark.parametrize("index, mode", [(75, "distributed"), (66, "sequential")])
+    @pytest.mark.parametrize("field, value, message", [
+        ("config", "x", "config does not match the state"),
+        ("config", "rotated", "config does not match the state"),
+        ("kind", 1.5, "unknown kind 1.5"),
+    ], ids=["config-not-a-config", "config-of-another-state", "kind-unknown"])
+    def test_forged_cycle_row_rejected(self, classes, index, mode, field, value, message):
+        # Each mode's example forcing certificate with the first cycle row's
+        # config or kind forged; the row's state, robot and move still replay.
+        table = TABLES[index]
+        witness = copy.deepcopy(imp.refute(table, mode).witness)
+        row = witness["cycle"][0]
+        row[field] = row["config"][1:] + row["config"][:1] if value == "rotated" else value
+        with pytest.raises(ValueError, match=f"cycle row 0: {message}"):
+            imp.validate_certificate(table, imp.Certificate(imp.FORCING, witness), mode)
+
+    @pytest.mark.parametrize("index, mode, kind", [
+        (0, "distributed", imp.BAD_TERMINAL),
+        (75, "distributed", imp.FORCING),
+        (0, "sequential", imp.BAD_TERMINAL),
+        (66, "sequential", imp.FORCING),
+    ])
+    @pytest.mark.parametrize("field, value", [("activation", [0]), ("outcomes", True)],
+                             ids=["activation", "outcomes"])
+    def test_last_path_row_has_no_step(self, classes, index, mode, kind, field, value):
+        # Each example certificate with a path, as the report prints it, with
+        # a step forged onto the path's last state: no successor replays it.
+        table = TABLES[index]
+        cert = imp.refute(table, mode)
+        assert cert.kind == kind
+        witness = copy.deepcopy(cert.witness)
+        path = witness["path" if kind == imp.BAD_TERMINAL else "entry_path"]
+        assert (path[-1]["activation"], path[-1]["outcomes"]) == (None, None)
+        path[-1][field] = value
+        with pytest.raises(ValueError, match="last state has an activation or outcomes"):
+            imp.validate_certificate(table, imp.Certificate(kind, witness), mode)
 
     @pytest.mark.parametrize("forgery", ["stripped", "added"])
     def test_alternative_moves_match_the_support(self, classes, forgery):
