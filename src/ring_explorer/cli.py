@@ -9,13 +9,15 @@ Out-of-range arguments, such as an ``--n`` of 8 or less for ``simulate``,
 ``campaign`` or ``verify``, or an ``--n``, ``--n-max`` or ``--k`` above
 ``sys.maxsize``, are argparse usage errors with exit status 2.  A size
 within that bound that still does not fit in memory, such as ``simulate
---n`` at ``sys.maxsize``, ends with one stderr line and exit status 1.
+--n`` at ``sys.maxsize``, ends with one stderr line and exit status 1, as
+does a payload that cannot be written to ``--output`` or to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -61,14 +63,21 @@ def _initial(text: str):
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text + "\n")
-        return
+    """Write the payload to ``output``, or to stdout when it is None.  A
+    failed write ends the command with one stderr line and exit status 1."""
     try:
+        if output is None:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+            return
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise SystemExit(f"cannot write {output}: {exc.strerror}") from None
+        if output is None:
+            # The unwritten text stays buffered; the interpreter's flush at
+            # exit would fail again, so it goes to the null device instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(f"cannot write {output or 'stdout'}: {exc.strerror}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -12,16 +12,19 @@ Each step yields a ``StepRecord``: an immutable named tuple whose seven fields
 entry: it takes robot ids in any order, repeats allowed, and sorts them.
 ``SchedulerPolicy.activation`` already returns sorted ids without repeats, so
 ``run`` hands them to the step unchanged.  A step that leaves the
-configuration as it was keeps the same tuple, ``after is before``, and
-``run`` re-reads the terminal verdict only after a step that changed it.
+configuration as it was keeps the same tuple, ``after is before``, and the
+same step plan.
 
 Robots are oblivious, so ``decide`` must be a pure function of (configuration,
 node).  That purity also lets the engine memoise, per ``decide``, each
 configuration's step plan: where the robots of each occupied node may land,
 whether a coin decides, and whether the configuration is terminal.  The memo
 is bounded and shared by every run in the process, so a campaign's trials
-reuse the plans of the configurations they revisit.  A plan derives a node's
-landing spots from ``decision_outcomes`` when the node is first asked about.
+reuse the plans of the configurations they revisit.  A plan is built whole
+the first time a run reaches its configuration: ``decide`` is asked about
+every occupied node, in node order, and not again while the plan is kept.
+So ``Simulation(c)`` raises ``ProtocolError`` at construction when ``c`` is
+outside ``decide``'s domain.
 
 ``successors`` is the same one-step relation for the checkers: every
 positive-probability branch of one activation, read off two products (the
@@ -157,10 +160,6 @@ class StepRecord(NamedTuple):
     coins: dict[int, bool]
     adversary_edges: dict[int, int]
 
-    @property
-    def changed(self) -> bool:
-        return self.before != self.after
-
     def to_json(self) -> dict:
         return {
             "t": self.t,
@@ -260,50 +259,30 @@ def successors(c: Configuration, options: OptionsFn) -> Iterator[Branch]:
 # Execution
 # ---------------------------------------------------------------------------
 
-class _StepPlan:
-    """What one step may do from configuration ``c`` under ``decide``: for
-    each occupied node, the nodes its robots may land on and whether a coin
-    can keep them in place (``spots[node]``, from ``decision_outcomes``), and
-    whether ``c`` is terminal.  Filled lazily: ``decide`` is asked about a
-    node only when a step or the terminal test first needs it, and nothing
-    is stored for a node whose ``decide`` raised."""
+class _StepPlan(NamedTuple):
+    """What one step may do from a configuration under ``decide``: for each
+    occupied node, the nodes its robots may land on and whether a coin can
+    keep them in place (``spots[node]``, from ``decision_outcomes``; None
+    for an empty node), and whether no robot can move (``terminal``)."""
 
-    __slots__ = ("decide", "c", "spots", "_terminal")
-
-    def __init__(self, decide: DecideFn, c: Configuration):
-        self.decide = decide
-        self.c = c
-        self.spots: list[Optional[tuple[tuple[int, ...], bool]]] = [None] * len(c)
-        self._terminal: Optional[bool] = None
-
-    def fill(self, node: int) -> tuple[tuple[int, ...], bool]:
-        """The nodes a robot on ``node`` may land on, and whether it may also
-        stay (a coin decides when it may do both)."""
-        outcomes = decision_outcomes(len(self.c), node, self.decide(self.c, node))
-        stay = outcomes[0] is None
-        entry = self.spots[node] = (tuple(outcomes[1:] if stay else outcomes), stay)
-        return entry
-
-    def terminal(self) -> bool:
-        """No robot can move: no occupied node has a landing spot.  Nodes are
-        asked in node order, up to the first that can move."""
-        if self._terminal is None:
-            spots = self.spots
-            terminal = True
-            for v, m in enumerate(self.c):
-                if m and (spots[v] or self.fill(v))[0]:
-                    terminal = False
-                    break
-            self._terminal = terminal
-        return self._terminal
+    spots: tuple[Optional[tuple[tuple[int, ...], bool]], ...]
+    terminal: bool
 
 
 @lru_cache(maxsize=1 << 13)
 def _step_plan(decide: DecideFn, c: Configuration) -> _StepPlan:
-    """The plan of ``c`` under ``decide``, kept across steps, runs and
+    """The plan of ``c`` under ``decide``, built whole: ``decide`` is asked
+    about every occupied node, in node order.  Kept across steps, runs and
     trials: robots are oblivious, so every visit to ``c`` moves by the same
     rules.  Bounded: the least recently used plans go first."""
-    return _StepPlan(decide, c)
+    n = len(c)
+    spots: list[Optional[tuple[tuple[int, ...], bool]]] = [None] * n
+    for v, m in enumerate(c):
+        if m:
+            outcomes = decision_outcomes(n, v, decide(c, v))
+            stay = outcomes[0] is None
+            spots[v] = (tuple(outcomes[1:] if stay else outcomes), stay)
+    return _StepPlan(tuple(spots), not any(spot and spot[0] for spot in spots))
 
 
 class Simulation:
@@ -355,11 +334,9 @@ class Simulation:
         coins: dict[int, bool] = {}
         adversary_edges: dict[int, int] = {}
         movers: Optional[list[tuple[int, int]]] = None
-        plan = self._plan
-        spots = plan.spots
+        spots = self._plan.spots
         for r in acts:
-            node = positions[r]
-            targets, stay = spots[node] or plan.fill(node)
+            targets, stay = spots[positions[r]]
             if not targets:
                 continue
             if stay:  # staying put is possible: a fair coin decides
@@ -401,7 +378,7 @@ class Simulation:
 def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) -> bool:
     """No robot moves with positive probability: no occupied node's decision
     has a landing spot.  ``run`` reads the same step plan."""
-    return _step_plan(decide, c).terminal()
+    return _step_plan(decide, c).terminal
 
 
 def run(
@@ -418,43 +395,37 @@ def run(
     """Iterate steps until terminal or max_steps.
 
     ``decide`` must be a pure function of (configuration, node): each
-    configuration's step plan, its terminal verdict included, is worked out
-    once per ``decide`` and reused by every later step and run that reaches
-    it.  ``policy.activation`` must return robot ids sorted and without
-    repeats, as every ``SchedulerPolicy`` does: ``run`` steps with them
-    unchanged, keeping only the nonempty and range checks of
-    ``Simulation.step``.  ``require_towerless`` enforces the problem's
-    initial condition; pass False to replay from a mid-run snapshot such as
-    an arrow.
+    configuration's step plan, its terminal verdict included, is built once
+    per ``decide`` when a run first reaches it and reused by every later
+    step and run that reaches it.  ``policy.activation`` must return robot
+    ids sorted and without repeats, as every ``SchedulerPolicy`` does:
+    ``run`` steps with them unchanged, keeping only the nonempty and range
+    checks of ``Simulation.step``.  ``require_towerless`` enforces the
+    problem's initial condition, before ``decide`` is asked anything; pass
+    False to replay from a mid-run snapshot such as an arrow.
     """
-    if rng is None:
-        rng = random.Random(seed)
-    sim = Simulation(initial, decide, rng, adversary)
-    c = sim.configuration()
+    c = as_config(initial)
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
+    if rng is None:
+        rng = random.Random(seed)
+    sim = Simulation(c, decide, rng, adversary)
     steps: list[StepRecord] = []
     activation, apply, append, k = policy.activation, sim._apply, steps.append, sim.k
-    terminated = sim._plan.terminal()
-    while not terminated and sim.t < max_steps:
+    while not sim._plan.terminal and sim.t < max_steps:
         acts = activation(sim.t, k, rng)
         if acts is None:
             break
-        record = apply(acts)
-        append(record)
-        # The plan changes only with the configuration, and an unchanged
-        # plan keeps the verdict it already has.
-        if record.after is not record.before:
-            terminated = sim._plan.terminal()
+        append(apply(acts))
     return Trace(
         n=sim.n,
-        k=sim.k,
+        k=k,
         policy=policy.mode,
         seed=seed,
         initial=c,
         steps=steps,
         visited=frozenset(sim.visited),
-        terminated=terminated,
+        terminated=sim._plan.terminal,
     )
 
 

@@ -14,6 +14,7 @@ cached on that tuple.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -25,8 +26,13 @@ _CACHE_SIZE = 1 << 16
 
 
 def as_config(values: Sequence[int] | Iterable[int]) -> Configuration:
-    """Normalize any multiplicity sequence into a validated tuple."""
-    c = tuple(int(v) for v in values)
+    """Normalize any multiplicity sequence into a validated tuple.  Every
+    value must be an integer: a float or a string is rejected, not cut."""
+    values = iter(values)  # outside the try: a non-iterable stays a TypeError
+    try:
+        c = tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"multiplicities must be integers: {exc}") from None
     if len(c) < 3:
         raise ValueError("configuration needs at least 3 nodes")
     if any(v < 0 for v in c):

@@ -182,12 +182,32 @@ def test_huge_step_limit_is_not_bounded(capsys):
     assert json.loads(out.splitlines()[-1])["config"] == "0,0,2,1,1,0,0,0,0"
 
 
+def run_cli_process(*argv, **kwargs):
+    """The CLI in a fresh interpreter, with stdout block-buffered as by default."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "ring_explorer.cli", *argv],
+                          text=True, env=env, timeout=60, **kwargs)
+
+
 def test_unwritable_output_fails_cleanly(tmp_path):
     target = tmp_path / "missing" / "trace.jsonl"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ring_explorer.cli", "simulate", "--output", str(target)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli_process("simulate", "--output", str(target), capture_output=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"cannot write {target}: No such file or directory"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("count", "--n", "4"), ("simulate",),
+                                  ("impossible", "--mode", "sequential")],
+                         ids=lambda argv: argv[0])
+def test_unwritable_stdout_fails_cleanly(argv):
+    # One stderr line and exit 1, with no traceback and no second complaint
+    # from the interpreter's own flush of stdout at exit.
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(*argv, stdout=full, stderr=subprocess.PIPE)
+    lines = proc.stderr.splitlines()
+    if argv[0] == "impossible":
+        assert lines.pop(0).startswith("sequential: 7757 bad-terminal")
+    assert proc.returncode == 1
+    assert lines == ["cannot write stdout: No space left on device"]

@@ -1,8 +1,9 @@
 """No dead exports: every public top-level function and class of the package
 is used somewhere in ``src/`` or named in the README, apart from its own
-definition and its re-export in ``__init__.py``.  Code that only tests call
-belongs in ``tests/``.  A README name counts only because the README's
-library sketch runs: the last test here executes it."""
+definition and its re-export in ``__init__.py``, and every public method and
+property of the package's classes is read as ``.name`` there.  Code that
+only tests call belongs in ``tests/``.  A README name counts only because the
+README's library sketch runs: the last test here executes it."""
 
 import ast
 import re
@@ -32,8 +33,29 @@ def unused_public_definitions():
     return unused
 
 
+def unused_public_members():
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    bodies = [*sources.values(), (ROOT / "README.md").read_text(encoding="utf-8")]
+    unused = []
+    for path, text in sources.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                read = re.compile(rf"\.{re.escape(node.name)}\b")
+                if not any(read.search(body) for body in bodies):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_public_definition_is_used():
     assert unused_public_definitions() == []
+
+
+def test_every_public_member_is_read():
+    assert unused_public_members() == []
 
 
 def test_readme_library_sketch_runs():

@@ -90,6 +90,12 @@ class TestStep:
             assert records[0] == records[1]
             assert records[0].activated == tuple(sorted(ids))
 
+    def test_outside_the_domain_raises_at_construction(self):
+        # n = 4 is outside ``decide``'s n > 8 domain: the plan is built whole
+        # with the simulation, before any step.
+        with pytest.raises(protocol.ProtocolError):
+            Simulation((1, 1, 1, 0))
+
     def test_one_shot_step_helper(self):
         record = Simulation((1, 0, 2, 1, 0, 0, 0, 0, 0), rng=random.Random(0)).step([0])
         assert record.after == (0, 0, 2, 1, 0, 0, 0, 0, 1)
@@ -311,8 +317,9 @@ class TestStepPlanOracle:
 
 
 class TestDecideCalls:
-    """With plans, ``decide`` is asked about each ``(configuration, node)``
-    once, in the order the reference first asks about it."""
+    """With plans, ``decide`` is asked about every occupied node of a
+    configuration, in node order, the first time a run reaches it, and never
+    again while its plan is kept."""
 
     @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
     def test_first_asks_in_reference_order(self, policy):
@@ -320,12 +327,11 @@ class TestDecideCalls:
             for seed in range(3):
                 initial = sample_towerless(n, 4, random.Random(seed))
                 ours, ours_calls = recorded(protocol.decide)
-                theirs, reference_calls = recorded(protocol.decide)
                 run(initial, policy, rng=random.Random(seed), decide=ours)
-                reference_run(initial, policy, rng=random.Random(seed), decide=theirs)
-                assert set(ours_calls) <= set(reference_calls)
-                assert ours_calls == list(dict.fromkeys(reference_calls))
-                # A second run from the same start asks nothing new.
+                steps = reference_run(initial, policy, rng=random.Random(seed))[0]
+                reached = dict.fromkeys([as_config(initial)] + [s.after for s in steps])
+                assert ours_calls == [(c, v) for c in reached for v in occupied_nodes(c)]
+                # A second run from the same start asks nothing.
                 asked = len(ours_calls)
                 run(initial, policy, rng=random.Random(seed), decide=ours)
                 assert len(ours_calls) == asked
@@ -365,18 +371,16 @@ class TestDecideCalls:
         c = (1, 1, 1, 1, 0, 0, 0, 0, 0)
         policy = SchedulerPolicy("scripted", script=((1, 2),) * 3)
         ours, ours_calls = recorded(protocol.decide)
-        theirs, reference_calls = recorded(protocol.decide)
         trace = run(c, policy, rng=ScriptedCoins([0.0] * 6), decide=ours)
-        steps = reference_run(c, policy, rng=ScriptedCoins([0.0] * 6), decide=theirs)[0]
+        steps = reference_run(c, policy, rng=ScriptedCoins([0.0] * 6))[0]
         assert trace.steps == steps and not trace.terminated
         for record in trace.steps:
             assert record.after is record.before
             assert record.coins == {1: True, 2: True}
         assert [s.positions_before for s in trace.steps] == [(0, 1, 2, 3), (0, 2, 1, 3),
                                                              (0, 1, 2, 3)]
-        # The terminal test asks nodes 0 and 1, the first step node 2; the
-        # swaps ask nothing again.
-        assert ours_calls == list(dict.fromkeys(reference_calls)) == [(c, 0), (c, 1), (c, 2)]
+        # The plan asks every occupied node once; the swaps ask nothing again.
+        assert ours_calls == [(c, 0), (c, 1), (c, 2), (c, 3)]
 
 
 class TestIsTerminal:
@@ -390,11 +394,13 @@ class TestIsTerminal:
         assert not is_terminal((1, 0, 2, 1, 0, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("decide", [protocol.decide, mutants.shortest_hole_mutant,
-                                        mutants.flipped_tail_mutant, mutants.idle_tail_mutant],
+                                        mutants.flipped_tail_mutant, mutants.idle_tail_mutant,
+                                        mutants.gap_filler_mutant, mutants.final_mover_mutant],
                              ids=lambda f: f.__name__)
     def test_matches_all_idle_over_the_domain(self, decide):
         """Same verdict or exception, and the same ``decide`` calls in the same
-        order, as the all-idle definition over every occupied node."""
+        order, as the all-idle definition asking every occupied node in node
+        order, without stopping at the first that moves."""
         def verdict(terminal, c):
             calls = []
             def logged(c, i):
@@ -406,7 +412,7 @@ class TestIsTerminal:
                 return type(exc).__name__, calls
 
         def all_idle(c, logged):
-            return all(not logged(c, i).moves for i in occupied_nodes(c))
+            return all([not logged(c, i).moves for i in occupied_nodes(c)])
 
         for n in range(9, 13):
             for c in configurations(n, 4):
@@ -422,7 +428,7 @@ class TestRun:
             require_towerless=False,
         )
         assert trace.terminated
-        moves = [s for s in trace.steps if s.changed]
+        moves = [s for s in trace.steps if s.after != s.before]
         assert len(moves) == 5  # n - 4
         assert protocol.phase(trace.configurations()[-1]) == "final"
         assert len(mrp(trace.configurations())) == 6
@@ -443,6 +449,12 @@ class TestRun:
     def test_towered_initial_rejected(self):
         with pytest.raises(ValueError, match="towerless"):
             run((1, 0, 2, 1, 0, 0, 0, 0, 0), SchedulerPolicy("round-robin"), seed=0)
+
+    def test_towerless_check_comes_before_decide(self):
+        # Two towers are outside ``decide``'s domain; the initial condition
+        # still decides first.
+        with pytest.raises(ValueError, match="towerless"):
+            run((2, 2, 0, 0, 0, 0, 0, 0, 0), SchedulerPolicy("round-robin"), seed=0)
 
     def test_reproducible_bit_for_bit(self):
         kwargs = dict(seed=123, max_steps=50_000)
@@ -556,7 +568,6 @@ class TestStepRecord:
             "t": 3, "activated": [0, 2], "coins": {"2": False}, "adversary": {"0": 8},
             "config": "0,0,2,1,0,0,0,0,1",
         }
-        assert self.RECORD.changed
 
 
 class TestMrp:

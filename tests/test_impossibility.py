@@ -998,7 +998,7 @@ class TestEngineReplay:
             robot = sim.positions.index(node)
             for _ in range(200):
                 record = sim.step([robot])
-                if record.changed:
+                if record.after != record.before:
                     break
             else:
                 pytest.fail("forced robot never moved in 200 activations")

@@ -35,6 +35,19 @@ def orbit(c):
     return {rotate(c, i) for i in range(n)} | {rotate(m, i) for i in range(n)}
 
 
+class TestAsConfig:
+    @pytest.mark.parametrize("values", [[1.9, 1, 1, 1, 0, 0, 0, 0, 0.7],
+                                        [" 1", 1, 1, 1, 0, 0, 0, 0, 0]],
+                             ids=["float", "string"])
+    def test_non_integers_rejected(self, values):
+        with pytest.raises(ValueError, match="must be integers"):
+            ring.as_config(values)
+
+    def test_integers_kept(self):
+        assert ring.as_config([True, 1, 0]) == (1, 1, 0)
+        assert ring.parse_config(" 1,0, 2") == (1, 0, 2)
+
+
 class TestRotateMirror:
     def test_rotate_identity(self):
         assert rotate((1, 1, 1, 0), 0) == (1, 1, 1, 0)
