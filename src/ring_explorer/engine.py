@@ -9,11 +9,15 @@ so that schedulers can be fair to individual robots and traces are replayable.
 Each step yields a ``StepRecord``: an immutable named tuple whose seven fields
 (``t``, ``activated``, ``positions_before``, ``before``, ``after``, ``coins``,
 ``adversary_edges``) are all required.  ``Simulation.step`` is the validating
-entry: it takes robot ids in any order, repeats allowed, and sorts them.
-``SchedulerPolicy.activation`` already returns sorted ids without repeats, so
-``run`` hands them to the step unchanged.  A step that leaves the
-configuration as it was keeps the same tuple, ``after is before``, and the
-same step plan.
+entry: it takes integer robot ids in any order, repeats allowed, and sorts
+them.  ``SchedulerPolicy.activation`` already returns sorted ids without
+repeats, so ``run`` hands them to the step unchanged.  ``Simulation.positions``
+is one immutable tuple, replaced only by a step where some robot moves, and
+each record's ``positions_before`` is that tuple itself.  So a step that moves
+no robot allocates nothing but its record and the record's two dicts: the
+next step gets the same ``positions_before``, and the configuration keeps its
+tuple (``after is before``) and its step plan.  The monitors in ``verify`` and
+``mrp`` test that identity before they compare values.
 
 Robots are oblivious, so ``decide`` must be a pure function of (configuration,
 node).  That purity also lets the engine memoise, per ``decide``, each
@@ -36,8 +40,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -110,17 +115,21 @@ class SchedulerPolicy:
 
     mode: str
     script: tuple[tuple[int, ...], ...] = ()
+    # ``_robot_ids`` of each script entry, read once: a bad id raises here.
+    _activations: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
+                                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_NAMES:
             raise ValueError(f"unknown scheduler mode {self.mode!r}")
+        object.__setattr__(self, "_activations", tuple(map(_robot_ids, self.script)))
 
     @property
     def sequential(self) -> bool:
         if self.mode in (ROUND_ROBIN, SEQUENTIAL_RANDOM):
             return True
         if self.mode == SCRIPTED:
-            return all(len(set(a)) == 1 for a in self.script)
+            return all(len(a) == 1 for a in self._activations)
         return False
 
     def activation(self, t: int, k: int, rng: random.Random) -> Optional[tuple[int, ...]]:
@@ -132,9 +141,20 @@ class SchedulerPolicy:
             return (rng.randrange(k),)
         if self.mode == RANDOM_SUBSET:
             return _mask_robots(rng.randrange(1, 1 << k))
-        if t >= len(self.script):
+        if t >= len(self._activations):
             return None
-        return tuple(sorted(set(self.script[t])))
+        return self._activations[t]
+
+
+def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
+    """An activation's robot ids, sorted and without repeats.  Each id is
+    read with ``operator.index``: a bool becomes its int, and a float or a
+    string raises ValueError."""
+    activation = iter(activation)  # outside the try: a non-iterable stays a TypeError
+    try:
+        return tuple(sorted(set(map(operator.index, activation))))
+    except TypeError as exc:
+        raise ValueError(f"robot ids must be integers: {exc}") from None
 
 
 @lru_cache(maxsize=1 << 8)
@@ -168,6 +188,11 @@ class StepRecord(NamedTuple):
             "adversary": {str(r): v for r, v in sorted(self.adversary_edges.items())},
             "config": format_config(self.after),
         }
+
+
+# ``StepRecord(...)`` runs the named tuple's Python-level ``__new__``; building
+# each step's record with ``tuple.__new__`` costs under half as much.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -269,6 +294,15 @@ class _StepPlan(NamedTuple):
     terminal: bool
 
 
+@lru_cache(maxsize=1 << 10)
+def _spot(targets: tuple[int, ...], stay: bool) -> tuple[tuple[int, ...], bool]:
+    """One ``spots`` entry, interned: equal entries of all plans are one
+    object.  The protocol's robots land only on their node's neighbours, so
+    a ring size has a few distinct entries per node; the memo's bound covers
+    any other ``decide``."""
+    return targets, stay
+
+
 @lru_cache(maxsize=1 << 13)
 def _step_plan(decide: DecideFn, c: Configuration) -> _StepPlan:
     """The plan of ``c`` under ``decide``, built whole: ``decide`` is asked
@@ -281,14 +315,15 @@ def _step_plan(decide: DecideFn, c: Configuration) -> _StepPlan:
         if m:
             outcomes = decision_outcomes(n, v, decide(c, v))
             stay = outcomes[0] is None
-            spots[v] = (tuple(outcomes[1:] if stay else outcomes), stay)
+            spots[v] = _spot(tuple(outcomes[1:] if stay else outcomes), stay)
     return _StepPlan(tuple(spots), not any(spot and spot[0] for spot in spots))
 
 
 class Simulation:
-    """Mutable run state: per-robot positions, the configuration they form,
-    the visited nodes, all updated from each step's moves, and the step plan
-    of the current configuration."""
+    """Mutable run state: per-robot positions (one tuple, replaced only by a
+    step where some robot moves), the configuration they form, the visited
+    nodes, all updated from each step's moves, and the step plan of the
+    current configuration."""
 
     def __init__(
         self,
@@ -302,9 +337,8 @@ class Simulation:
         self.decide = decide
         self.rng = rng if rng is not None else random.Random()
         self.adversary = adversary if adversary is not None else SeededAdversary(self.rng)
-        self.positions: list[int] = []
-        for node, count in enumerate(c):
-            self.positions.extend([node] * count)
+        self.positions: tuple[int, ...] = tuple(
+            node for node, count in enumerate(c) for _ in range(count))
         self.k = len(self.positions)
         self._config = c
         self._plan = _step_plan(decide, c)
@@ -317,9 +351,9 @@ class Simulation:
     def step(self, activated: Iterable[int]) -> StepRecord:
         """One step activating the robots in ``activated``, in any order and
         with repeats allowed: the validating entry.  Raises SchedulerError
-        for an empty activation and ValueError for an id outside
-        ``0..k-1``."""
-        return self._apply(tuple(sorted(set(activated))))
+        for an empty activation and ValueError for an id that is not an
+        integer or lies outside ``0..k-1``; a bool is read as its int."""
+        return self._apply(_robot_ids(activated))
 
     def _apply(self, acts: tuple[int, ...]) -> StepRecord:
         """The step itself, for a normalised activation: sorted robot ids
@@ -329,8 +363,7 @@ class Simulation:
         if acts[0] < 0 or acts[-1] >= self.k:
             raise ValueError(f"robot id out of range in activation {acts}")
         before = self._config
-        positions = self.positions
-        positions_before = tuple(positions)
+        positions = self.positions  # the record's ``positions_before``: never mutated
         coins: dict[int, bool] = {}
         adversary_edges: dict[int, int] = {}
         movers: Optional[list[tuple[int, int]]] = None
@@ -360,17 +393,20 @@ class Simulation:
             # Only the movers' nodes change, and every node occupied before
             # the step is already visited: apply the movers' deltas alone.
             counts = list(before)
+            moved = list(positions)
             visit = self.visited.add
             for r, target in movers:
                 counts[positions[r]] -= 1
                 counts[target] += 1
-                positions[r] = target
+                moved[r] = target
                 visit(target)
+            self.positions = tuple(moved)
             succ = tuple(counts)
             if succ != before:  # moves that cancel, as in a swap, keep ``before``
                 after = self._config = succ
                 self._plan = _step_plan(self.decide, after)
-        record = StepRecord(self.t, acts, positions_before, before, after, coins, adversary_edges)
+        record = _new_record(StepRecord,
+                             (self.t, acts, positions, before, after, coins, adversary_edges))
         self.t += 1
         return record
 
@@ -402,8 +438,16 @@ def run(
     ``run`` steps with them unchanged, keeping only the nonempty and range
     checks of ``Simulation.step``.  ``require_towerless`` enforces the
     problem's initial condition, before ``decide`` is asked anything; pass
-    False to replay from a mid-run snapshot such as an arrow.
+    False to replay from a mid-run snapshot such as an arrow.  ``max_steps``
+    must be a non-negative integer (ValueError otherwise; a bool is read as
+    its int).
     """
+    try:
+        limit = operator.index(max_steps)
+    except TypeError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"max_steps must be a non-negative integer, not {max_steps!r}")
     c = as_config(initial)
     if require_towerless and has_tower(c):
         raise ValueError("initial configuration must be towerless")
@@ -412,7 +456,7 @@ def run(
     sim = Simulation(c, decide, rng, adversary)
     steps: list[StepRecord] = []
     activation, apply, append, k = policy.activation, sim._apply, steps.append, sim.k
-    while not sim._plan.terminal and sim.t < max_steps:
+    while not sim._plan.terminal and sim.t < limit:
         acts = activation(sim.t, k, rng)
         if acts is None:
             break
@@ -431,11 +475,14 @@ def run(
 
 def mrp(configs: Iterable[Configuration]) -> list[Configuration]:
     """Minimal relevant prefix: the configuration sequence with consecutive
-    duplicates collapsed."""
+    duplicates collapsed.  A run repeats a configuration as the same object
+    (``after is before``), so identity is tested before equality."""
     out: list[Configuration] = []
+    last = None
     for c in configs:
-        if not out or out[-1] != c:
+        if c is not last and c != last:
             out.append(c)
+            last = c
     return out
 
 

@@ -282,13 +282,17 @@ def check_mrp_bounds(trace: Trace) -> CheckReport:
     """Lower bounds on the collapsed configuration sequence of a sequential
     terminating run: at least n-k+1 entries in total, with a tower, with a
     tower of fewer than k robots, and pairwise-distinguishable among those."""
-    if any(len(s.activated) != 1 for s in trace.steps):
-        raise ValueError("lemma applies to sequential computations")
+    configs = [trace.initial]
+    append = configs.append
+    for s in trace.steps:  # one pass: the sequential check and the sequence
+        if len(s.activated) != 1:
+            raise ValueError("lemma applies to sequential computations")
+        append(s.after)
     if not trace.terminated:
         raise ValueError("lemma applies to terminating computations")
     n, k = trace.n, trace.k
     bound = n - k + 1
-    prefix = mrp(trace.configurations())
+    prefix = mrp(configs)
     towers = small = 0
     distinct = set()
     for c in prefix:
@@ -331,12 +335,14 @@ def count_tower_classes(n: int, k: int = 3) -> int:
 def check_run_invariants(trace: Trace) -> None:
     """Assert that a run starts from a valid configuration, that every step
     changing the configuration is one ``successor_rule`` allows, and that a
-    terminated run ends in the terminal arrow.  Raises InvariantViolation."""
+    terminated run ends in the terminal arrow.  Raises InvariantViolation.
+    A step that keeps the configuration keeps its object (``after is
+    before``), so identity is tested before equality."""
     if phase(trace.initial) == "invalid":
         raise InvariantViolation(f"initial configuration invalid: {trace.initial}")
     for step in trace.steps:
         before, after = step.before, step.after
-        if before != after and not successor_rule(before)(after):
+        if before is not after and before != after and not successor_rule(before)(after):
             raise InvariantViolation(
                 f"step {step.t}: {phase(before)} -> {phase(after)} "
                 f"({format_config(before)} -> {format_config(after)})"

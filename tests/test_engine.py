@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import mutants
-from ring_explorer import engine, protocol
+from ring_explorer import engine, protocol, verify
 from ring_explorer.engine import (
     SchedulerError,
     SchedulerPolicy,
@@ -90,6 +90,20 @@ class TestStep:
             assert records[0] == records[1]
             assert records[0].activated == tuple(sorted(ids))
 
+    @pytest.mark.parametrize("robot", [1.5, "1"], ids=["float", "str"])
+    def test_non_integer_robot_id_rejected(self, robot):
+        sim = Simulation((1, 1, 1, 1, 0, 0, 0, 0, 0), rng=random.Random(0))
+        with pytest.raises(ValueError, match="robot ids must be integers"):
+            sim.step([robot])
+        assert sim.t == 0
+
+    def test_bool_robot_id_is_its_int(self):
+        c = (1, 0, 2, 1, 0, 0, 0, 0, 0)
+        record = Simulation(c, rng=random.Random(0)).step([True])
+        assert record == Simulation(c, rng=random.Random(0)).step([1])
+        assert [type(r) for r in record.activated] == [int]
+        assert json.dumps(record.to_json()["activated"]) == "[1]"
+
     def test_outside_the_domain_raises_at_construction(self):
         # n = 4 is outside ``decide``'s n > 8 domain: the plan is built whole
         # with the simulation, before any step.
@@ -163,6 +177,57 @@ class TestIncrementalState:
                       max_steps=full.step_count)
             assert cut.terminated
             assert cut.steps == full.steps
+
+
+class TestSharedRecords:
+    """A step that moves no robot shares the positions of the step before it,
+    and the shared objects are never changed after the step that recorded
+    them."""
+
+    @staticmethod
+    def stepped_run(policy, seed, n=15):
+        """``run`` step by step, with each step's movers read off the live
+        positions right after the step: ``(trace, movers per step)``."""
+        initial = sample_towerless(n, 4, random.Random(seed))
+        rng = random.Random(seed)
+        sim = Simulation(initial, rng=rng)
+        steps, movers = [], []
+        while not is_terminal(sim.configuration()):
+            before = list(sim.positions)
+            steps.append(sim.step(policy.activation(sim.t, sim.k, rng)))
+            movers.append([(r, v) for r, v in enumerate(sim.positions) if v != before[r]])
+        trace = run(initial, policy, seed=seed)
+        assert trace.terminated and trace.steps == steps
+        return trace, movers
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES[:3], ids=lambda p: p.mode)
+    def test_idle_steps_share_positions(self, policy):
+        trace, movers = self.stepped_run(policy, seed=15)
+        idle = 0
+        for record, following, moved in zip(trace.steps, trace.steps[1:], movers):
+            if not moved:
+                idle += 1
+                assert following.positions_before is record.positions_before
+                assert following.before is record.after is record.before
+        assert idle > trace.step_count // 4
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES[:3], ids=lambda p: p.mode)
+    def test_replayed_movers_give_every_record(self, policy):
+        trace, movers = self.stepped_run(policy, seed=15)
+        positions = [v for v, m in enumerate(trace.initial) for _ in range(m)]
+        for record, moved in zip(trace.steps, movers):
+            assert record.positions_before == tuple(positions)
+            assert type(record.positions_before) is tuple
+            for r, v in moved:
+                positions[r] = v
+            assert record.after == counts_of(positions, trace.n)
+
+    @pytest.mark.parametrize("policy", BOOKKEEPING_POLICIES[:3], ids=lambda p: p.mode)
+    def test_records_are_step_records(self, policy):
+        trace = run(sample_towerless(15, 4, random.Random(15)), policy, seed=15)
+        for record in trace.steps:
+            assert type(record) is StepRecord
+            assert record == StepRecord(**record._asdict())
 
 
 def reference_is_terminal(c, decide):
@@ -446,6 +511,15 @@ class TestRun:
         assert trace.terminated == is_terminal(trace.initial)
         assert not trace.terminated
 
+    @pytest.mark.parametrize("max_steps", [-3, -1, 2.5, "3", None],
+                             ids=["minus-3", "minus-1", "float", "str", "none"])
+    def test_max_steps_must_be_a_non_negative_integer(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            run((1, 1, 1, 1, 0, 0, 0, 0, 0), SchedulerPolicy("round-robin"), seed=0,
+                max_steps=max_steps)
+        with pytest.raises(ValueError, match="max_steps"):
+            verify.campaign(9, 1, SchedulerPolicy("round-robin"), seed=0, max_steps=max_steps)
+
     def test_towered_initial_rejected(self):
         with pytest.raises(ValueError, match="towerless"):
             run((1, 0, 2, 1, 0, 0, 0, 0, 0), SchedulerPolicy("round-robin"), seed=0)
@@ -486,6 +560,19 @@ class TestRun:
             assert ours.steps and ours.steps == sorted_script.steps
             assert ours.visited == sorted_script.visited
             assert ours.terminated == sorted_script.terminated
+
+    @pytest.mark.parametrize("robot", [1.5, 0.0, "1"], ids=["float", "zero-float", "str"])
+    def test_non_integer_scripted_id_rejected_at_construction(self, robot):
+        with pytest.raises(ValueError, match="robot ids must be integers"):
+            SchedulerPolicy("scripted", script=((0,), (2, robot)))
+
+    def test_bool_scripted_id_is_its_int(self):
+        initial = (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)
+        ours = run(initial, SchedulerPolicy("scripted", script=((True,), (3,))), seed=0)
+        ints = run(initial, SchedulerPolicy("scripted", script=((1,), (3,))), seed=0)
+        assert ours.steps == ints.steps
+        assert trace_to_jsonl(ours) == trace_to_jsonl(ints)
+        assert '"activated": [1]' in trace_to_jsonl(ours)[1]
 
     @pytest.mark.parametrize("script,error,match", [
         (((0,), ()), SchedulerError, "nonemptiness"),

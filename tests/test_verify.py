@@ -1,5 +1,6 @@
 """Checkers: exhaustive one-step lemma checks, MRP bounds, counting, campaigns."""
 
+import dataclasses
 import itertools
 import random
 from math import comb
@@ -204,6 +205,14 @@ class TestInstanceCounts:
         assert len(seen) <= 2 * n + 3
 
 
+def forged_trace(configs):
+    """A terminated sequential trace through ``configs``, one robot a step."""
+    n = len(configs[0])
+    steps = [StepRecord(t, (0,), (), before, after, {}, {})
+             for t, (before, after) in enumerate(zip(configs, configs[1:]))]
+    return Trace(n, 4, "round-robin", None, configs[0], steps, frozenset(range(n)), True)
+
+
 class TestMrpBounds:
     def sequential_trace(self, n, seed):
         rng = random.Random(seed)
@@ -225,9 +234,7 @@ class TestMrpBounds:
         # Forged sequential runs: the report equals one built from a has_tower
         # scan and a has_small_tower scan of the collapsed sequence.
         n, k = len(configs[0]), 4
-        steps = [StepRecord(t, (0,), (), before, after, {}, {})
-                 for t, (before, after) in enumerate(zip(configs, configs[1:]))]
-        trace = Trace(n, k, "round-robin", None, configs[0], steps, frozenset(range(n)), True)
+        trace = forged_trace(configs)
         prefix = mrp(configs)
         small = [c for c in prefix if verify.has_small_tower(c, k)]
         measured = {
@@ -251,6 +258,46 @@ class TestMrpBounds:
         trace = run((1, 1, 1, 1, 0, 0, 0, 0, 0), SchedulerPolicy("round-robin"), seed=0, max_steps=1)
         with pytest.raises(ValueError, match="terminating"):
             check_mrp_bounds(trace)
+
+
+def with_copied_configurations(trace):
+    """``trace`` with every configuration a distinct tuple equal to the one
+    it replaces: no two entries share an object."""
+    def fresh(c):
+        return tuple(list(c))
+    steps = [s._replace(before=fresh(s.before), after=fresh(s.after)) for s in trace.steps]
+    return dataclasses.replace(trace, initial=fresh(trace.initial), steps=steps)
+
+
+def invariants_verdict(trace):
+    try:
+        check_run_invariants(trace)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestEqualCopies:
+    """The monitors test identity only as a shortcut: a trace whose equal
+    configurations are distinct objects gets the same results."""
+
+    @pytest.mark.parametrize("trace", [
+        run(sample_towerless(12, 4, random.Random(12)), SchedulerPolicy("round-robin"), seed=12),
+        forged_trace([(1, 1, 1, 1, 0, 0, 0, 0, 0), (0, 2, 1, 1, 0, 0, 0, 0, 0),
+                      (0, 0, 4, 0, 0, 0, 0, 0, 0), (0, 0, 4, 0, 0, 0, 0, 0, 0),
+                      (0, 0, 3, 1, 0, 0, 0, 0, 0)]),
+        forged_trace([parse_config("1,0,2,1,0,0,0,0,0")] * 3
+                     + [parse_config("0,0,1,0,0,2,1,0,0")] * 2),
+    ], ids=["round-robin-run", "short-n9", "tower-jump"])
+    def test_same_prefix_report_and_verdict(self, trace):
+        copy = with_copied_configurations(trace)
+        pairs = list(zip(copy.configurations(), trace.configurations()))
+        assert all(ours == theirs for ours, theirs in pairs)
+        assert len({id(c) for step in copy.steps for c in (step.before, step.after)}
+                   | {id(copy.initial)}) == 2 * copy.step_count + 1
+        assert mrp(copy.configurations()) == mrp(trace.configurations())
+        assert check_mrp_bounds(copy).to_json() == check_mrp_bounds(trace).to_json()
+        assert invariants_verdict(copy) == invariants_verdict(trace)
 
 
 def tower_class_oracle(n, k):
