@@ -79,10 +79,11 @@ class SeededAdversary:
 
 
 class ScriptedAdversary:
-    """Replays a fixed sequence of edge choices; raises when exhausted."""
+    """Replays a fixed sequence of edge choices; raises when exhausted.  The
+    choices are read once, by ``_integers``."""
 
     def __init__(self, choices: Iterable[int]):
-        self._choices = list(choices)
+        self._choices = _integers(choices, "scripted edges")
         self._next = 0
 
     def __call__(self, robot: int, config: Configuration, options: tuple[int, int]) -> int:
@@ -146,15 +147,20 @@ class SchedulerPolicy:
         return self._activations[t]
 
 
-def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
-    """An activation's robot ids, sorted and without repeats.  Each id is
-    read with ``operator.index``: a bool becomes its int, and a float or a
-    string raises ValueError."""
-    activation = iter(activation)  # outside the try: a non-iterable stays a TypeError
+def _integers(values: Iterable[int], what: str) -> list[int]:
+    """``values``, each read with ``operator.index``: a bool becomes its int,
+    and a float or a string raises ValueError."""
+    values = iter(values)  # outside the try: a non-iterable stays a TypeError
     try:
-        return tuple(sorted(set(map(operator.index, activation))))
+        return list(map(operator.index, values))
     except TypeError as exc:
-        raise ValueError(f"robot ids must be integers: {exc}") from None
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
+def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
+    """An activation's robot ids, read by ``_integers``, sorted and without
+    repeats."""
+    return tuple(sorted(set(_integers(activation, "robot ids"))))
 
 
 @lru_cache(maxsize=1 << 8)
@@ -378,9 +384,13 @@ class Simulation:
                 if not win:
                     continue
             if len(targets) == 2:  # either edge: the adversary picks
-                target = self.adversary(r, before, targets)
+                answer = self.adversary(r, before, targets)
+                try:  # read as an integer: a bool is recorded as its int
+                    target = operator.index(answer)
+                except TypeError:
+                    target = None
                 if target not in targets:
-                    raise ValueError(f"adversary returned {target}, not an incident edge")
+                    raise ValueError(f"adversary returned {answer!r}, not an incident edge")
                 adversary_edges[r] = target
             else:
                 target = targets[0]

@@ -13,17 +13,19 @@ until it reaches the node next to the head.
 
 Robots are anonymous, so the rules give the same answer, rotated, on every
 rotation of a snapshot.  Each regime's rule decides for every robot of a
-snapshot in one pass, and runs once per representative: the rotation that
-puts the snapshot's first lone robot at node 0.  A bounded memo keeps each
-representative's decisions, which are mapped back to the snapshot's nodes
-once per snapshot, after the domain check; ``decide`` reads one node's
-answer from that map and keeps no (snapshot, node) cache of its own.  Equal
-decisions are one shared ``Decision`` value.
+snapshot in one pass, and runs once per rotation class: on its
+representative, the least rotation that starts at an occupied node.  A
+bounded memo keeps each representative's decisions, which are mapped back to
+the snapshot's nodes once per snapshot, after the domain check; ``decide``
+reads one node's answer from that map, and remembers the map of the last
+snapshot object it was asked about.  Equal decisions are one shared
+``Decision`` value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .ring import (
@@ -34,7 +36,6 @@ from .ring import (
     has_tower,
     holes,
     occupied_nodes,
-    rotate,
     segments,
 )
 
@@ -113,9 +114,15 @@ def decide(c: Configuration, i: int) -> Decision:
     A snapshot outside the domain (not four robots, or n <= 8) raises
     ProtocolError before a node outside ``0..n-1`` or an unoccupied ``i``
     raises ValueError.  Nothing is cached per (snapshot, node): the answer
-    is read from ``_decisions``, which checks the domain once per snapshot.
+    is read from the map ``_decisions`` builds once per snapshot.  Callers
+    ask about one snapshot's nodes back to back, so the last snapshot's map
+    is kept, tested by identity: snapshots are immutable tuples.
     """
-    decisions = _decisions(c)
+    global _last, _last_decisions
+    if c is not _last:
+        _last_decisions = _decisions(c)  # raises before the memo moves
+        _last = c
+    decisions = _last_decisions
     if i in decisions:
         return decisions[i]
     n = len(c)
@@ -124,29 +131,33 @@ def decide(c: Configuration, i: int) -> Decision:
     raise ValueError(f"node {i} is not occupied")
 
 
-@lru_cache(maxsize=1)
+_last: Optional[Configuration] = None
+_last_decisions: dict[int, Decision] = {}
+
+
 def _decisions(c: Configuration) -> dict[int, Decision]:
-    """Every occupied node's decision: the rules of ``c``'s representative
-    rotation, whose node 0 is ``c``'s first lone robot, with each node and
-    target moved back by that shift.  A snapshot outside the domain raises
-    ProtocolError.  Callers ask about one snapshot's nodes back to back, so
-    one entry is cached."""
+    """Every occupied node's decision: the rules of ``c``'s representative,
+    the least of its rotations that start at an occupied node (the same
+    tuple for every rotation of ``c``), with each node and target moved back
+    by the shift to it.  A snapshot outside the domain raises ProtocolError."""
     n = len(c)
     if n <= 8 or sum(c) != 4:
         raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
-    try:
-        shift = c.index(1)
-    except ValueError:  # no lone robot: a tower outside an arrow, which the rules reject
-        shift = 0
-    return {(v + shift) % n: _shifted(d, shift, n)
-            for v, d in _rules(rotate(c, shift)).items()}
-
-
-def _shifted(d: Decision, shift: int, n: int) -> Decision:
-    """``d`` with its target, if it names one, ``shift`` nodes further on."""
-    if d.target is None:
-        return d
-    return (move if d.kind == MOVE else try_move)((d.target + shift) % n)
+    cc = c + c
+    rep = None
+    for r in compress(range(n), c):
+        rotation = cc[r:r + n]
+        if rep is None or rotation < rep:
+            rep, shift = rotation, r
+    rules = _rules(rep)
+    if not shift:
+        return rules
+    out = {}
+    for v, d in rules.items():
+        if d.target is not None:
+            d = (move if d.kind == MOVE else try_move)((d.target + shift) % n)
+        out[(v + shift) % n] = d
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -157,8 +168,8 @@ def _rules(c: Configuration) -> dict[int, Decision]:
     formation rule, an arrow to the tail walk, a scatter to the gathering
     rules; each rule names its movers, and every other robot idles.  A tower
     outside an arrow is rejected: those snapshots are unreachable.  Kept for
-    the representatives ``_decisions`` asks about; ``_rules.__wrapped__`` is
-    the rules with no memo.
+    the representatives ``_decisions`` asks about, one per rotation class;
+    ``_rules.__wrapped__`` is the rules with no memo.
     """
     kind = phase(c)
     if kind == "invalid":

@@ -12,7 +12,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -136,8 +136,10 @@ def _check_successors(claim: str, n: int,
 
     A branch's successor depends only on where the moving robots land, so
     each node contributes a multiset of at most its robot count over its
-    moves, and each such combination is built and tested once (``c`` itself
-    among them, which the rule always admits).  ``instances_checked`` is
+    moves, and each such combination is built and tested once.  The first
+    combination, where no robot moves, is skipped: its successor is ``c``
+    itself, which each case's rule must admit (``successor_rule`` does for
+    every configuration in ``decide``'s domain).  ``instances_checked`` is
     still the number of branches ``engine.successors`` yields: per node, the
     outcome multisets ``C(L + m, m)`` of its ``m`` robots over ``L`` landing
     spots, multiplied over nodes, less the empty activation.  Only a
@@ -154,9 +156,8 @@ def _check_successors(claim: str, n: int,
     for count, (c, allowed) in enumerate(cases, 1):
         branches = 1
         rows = []
-        for v, m in enumerate(c):
-            if not m:
-                continue
+        for v in compress(range(n), c):
+            m = c[v]
             d = decide(c, v)
             key = (v, d, m)
             if key not in node_moves:
@@ -169,7 +170,7 @@ def _check_successors(claim: str, n: int,
             branches *= factor
             rows.append(row)
         report.instances_checked += branches - 1
-        for picks in product(*rows):
+        for picks in islice(product(*rows), 1, None):
             counts = list(c)
             for moves in picks:
                 for v, dest in moves:

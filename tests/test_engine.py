@@ -547,6 +547,28 @@ class TestRun:
         assert trace.steps[0].adversary_edges == {3: 5}
         assert not trace.terminated  # script exhausted before terminal
 
+    def test_adversary_answer_must_be_an_integer(self):
+        # A float equal to an incident node is no edge: ValueError, not a
+        # TypeError from the count update.
+        c = (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)
+        policy = SchedulerPolicy("scripted", script=((3,),))
+        for answer in (5.0, "5"):
+            with pytest.raises(ValueError, match="not an incident edge"):
+                run(c, policy, seed=0, adversary=lambda r, before, options: answer)
+        with pytest.raises(ValueError, match="must be integers"):
+            ScriptedAdversary([5.0])
+        with pytest.raises(TypeError):
+            ScriptedAdversary(5)
+
+    def test_adversary_bool_recorded_as_int(self):
+        # Robot 0 of this snapshot may cross either edge: options (9, 1).
+        c = (1, 0, 0, 0, 1, 1, 1, 0, 0, 0)
+        policy = SchedulerPolicy("scripted", script=((0,),))
+        for adversary in (ScriptedAdversary([True]), lambda r, before, options: True):
+            trace = run(c, policy, seed=0, adversary=adversary)
+            (edge,) = trace.steps[0].adversary_edges.values()
+            assert trace.steps[0].adversary_edges == {0: 1} and type(edge) is int
+            assert '"adversary": {"0": 1}' in trace_to_jsonl(trace)[1]  # not ``true``
 
     def test_scripted_activations_are_normalised(self):
         messy = tuple(tuple(reversed(a)) + a for a in SCRIPT)  # e.g. (2, 1, 1, 2)

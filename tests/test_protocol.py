@@ -9,7 +9,7 @@ from ring_explorer import protocol
 from ring_explorer.engine import decision_outcomes, successors
 from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
 from ring_explorer.ring import configurations, find_arrow, mirror, occupied_nodes, rotate, segments
-from ring_explorer.verify import successor_rule
+from ring_explorer.verify import check_no_tower_one_step, successor_rule
 
 # The rules with no memo and no rotation: ``decide`` answers from the rules
 # of a representative rotation, so the anonymity tests and the oracle below
@@ -303,6 +303,33 @@ class TestRepresentativeMemo:
             assert sorted(expected) == list(occupied_nodes(c))
             for i in occupied_nodes(c):
                 assert decide(c, i) == expected[i], (c, i)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 20])
+    def test_rules_run_once_per_rotation_class(self, n):
+        scatters = [c for c in towerless_configs(n)
+                    if not any(s.length == 4 for s in segments(c))]
+        classes = {min(rotate(c, r) for r in range(n)) for c in scatters}
+        protocol._rules.cache_clear()
+        check_no_tower_one_step(n)
+        assert protocol._rules.cache_info().currsize == len(classes)
+        if n == 20:
+            assert len(classes) == 244
+
+    def test_identity_memo_serves_no_stale_answer(self):
+        c1 = (0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1)  # its representative is a rotation
+        c2 = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)  # k = 3: outside the domain
+        copy = tuple(list(c1))
+        assert copy == c1 and copy is not c1
+        expected = direct_rules(c1)
+        assert any(d.target is not None for d in expected.values())
+        for v in occupied_nodes(c1):
+            assert decide(c1, v) == expected[v]
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                decide(c2, 0)
+        for c in (copy, c1):
+            for v in occupied_nodes(c1):
+                assert decide(c, v) == expected[v], (c, v)
 
     def test_decisions_keep_their_fields(self):
         d = protocol.try_move(3)

@@ -385,6 +385,13 @@ class TestSuccessorRule:
         assert all(rule(parse_config(c)) for c in allowed)
         assert not any(rule(parse_config(c)) for c in rejected)
 
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_every_rule_admits_its_own_configuration(self, n):
+        # ``_check_successors`` skips the branch where no robot moves, whose
+        # successor is the configuration itself: the rule must admit it.
+        for c in configurations(n, 4):
+            assert verify.successor_rule.__wrapped__(c)(c), c
+
 
 class TestCampaign:
     def test_small_campaign_terminates_with_coverage(self):
