@@ -215,3 +215,36 @@ def test_campaign_stdout_pinned(capsys, policy):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_N15_SHA256[policy]
+
+
+# SHA-256 over ``_rules`` for every towerless 4-robot configuration of
+# n = 5..24, one per rotation class: the configuration
+# ``1, 0*h0, 1, 0*h1, 1, 0*h2, 1, 0*h3`` of each hole vector ``h`` that is
+# the least of its four cyclic shifts, in lexicographic order of ``h``.  One
+# line per configuration, with every occupied node's
+# ``kind,target,adversary``.  n = 24 is where the last gathering signature
+# first appears, so the towerless rules are pinned on every signature.
+RULES_5_TO_24_SHA256 = "5d4870af4319ce2bf7869346a507823e046911a114a989597c94664c25d14c99"
+
+
+def _hole_vectors(free):
+    for a in range(free + 1):
+        for b in range(free - a + 1):
+            for c in range(free - a - b + 1):
+                h = (a, b, c, free - a - b - c)
+                if h == min(h[j:] + h[:j] for j in range(4)):
+                    yield h
+
+
+def test_towerless_rules_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(5, 25):
+        for h in _hole_vectors(n - 4):
+            c = tuple(v for length in h for v in (1, *[0] * length))
+            row = ";".join(f"{v}={d.kind},{d.target},{d.adversary}"
+                           for v, d in sorted(protocol._rules.__wrapped__(c).items()))
+            digest.update(f"{format_config(c)}:{row}\n".encode())
+            count += 1
+    assert count == 2675
+    assert digest.hexdigest() == RULES_5_TO_24_SHA256
