@@ -17,12 +17,10 @@ from .protocol import Decision, ProtocolError, decide
 from .ring import (
     Arrow,
     Configuration,
-    Hole,
     Segment,
     View,
     canonical_form,
     find_arrow,
-    holes,
     mirror,
     parse_config,
     rotate,

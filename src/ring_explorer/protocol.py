@@ -9,7 +9,9 @@ picked by an adversary; decisions carry that as an explicit flag.
 The protocol drives the system through three regimes: gather the four robots
 into a single block of adjacent nodes, collapse the block's middle into a
 two-robot tower (forming an arrow), then walk the arrow tail around the ring
-until it reaches the node next to the head.
+until it reaches the node next to the head.  The first two regimes are one
+rule, on the four hole lengths alone: the free runs between consecutive
+robots.
 
 Robots are anonymous, so the rules give the same answer, rotated, on every
 rotation of a snapshot.  Each regime's rule decides for every robot of a
@@ -28,16 +30,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional
 
-from .ring import (
-    Configuration,
-    Hole,
-    canonical_direction,
-    find_arrow,
-    has_tower,
-    holes,
-    occupied_nodes,
-    segments,
-)
+from .ring import Configuration, find_arrow, has_tower, occupied_nodes, segments
 
 IDLE = "idle"
 MOVE = "move"
@@ -164,112 +157,85 @@ def _decisions(c: Configuration) -> dict[int, Decision]:
 def _rules(c: Configuration) -> dict[int, Decision]:
     """Every occupied node's decision, by the snapshot's phase.
 
-    Final arrow: everyone idles (terminal).  A 4-segment goes to the tower
-    formation rule, an arrow to the tail walk, a scatter to the gathering
-    rules; each rule names its movers, and every other robot idles.  A tower
-    outside an arrow is rejected: those snapshots are unreachable.  Kept for
-    the representatives ``_decisions`` asks about, one per rotation class;
-    ``_rules.__wrapped__`` is the rules with no memo.
+    Final arrow: everyone idles (terminal).  An arrow goes to the tail walk.
+    A towerless snapshot goes to the gathering rules, which read only its
+    four hole lengths; their movers are mapped back to nodes here.  Every
+    robot no rule names idles.  A tower outside an arrow is rejected: those
+    snapshots are unreachable.  Kept for the representatives ``_decisions``
+    asks about, one per rotation class; ``_rules.__wrapped__`` is the rules
+    with no memo.
     """
     kind = phase(c)
     if kind == "invalid":
         raise ProtocolError("unsupported configuration: tower without an arrow")
     out = dict.fromkeys(occupied_nodes(c), idle())
-    if kind == "four-segment":
-        out.update(_tower_formation(c))
-    elif kind == "arrow":
+    if kind == "arrow":
         out.update(_tail_walk(c))
-    elif kind == "scatter":
-        out.update(_gathering(c))
+    elif kind != "final":
+        n = len(c)
+        p = tuple(out)
+        h = tuple((p[(j + 1) % 4] - p[j] - 1) % n for j in range(4))
+        for j, (how, step) in _gathering(h).items():
+            if step:
+                out[p[j]] = (move if how == MOVE else try_move)((p[j] + step) % n)
+            else:
+                out[p[j]] = move_adversary() if how == MOVE else try_move_adversary()
     return out
 
 
 # ---------------------------------------------------------------------------
-# Gathering (towerless, no 4-segment)
+# Gathering (towerless)
 # ---------------------------------------------------------------------------
 
-def _holes_by_neighbor(hole_list: tuple[Hole, ...]) -> dict[int, list[Hole]]:
-    out: dict[int, list[Hole]] = {}
-    for h in hole_list:
-        for v in h.neighbors:
-            out.setdefault(v, []).append(h)
-    return out
+def _gathering(h: tuple[int, int, int, int]) -> dict[int, tuple[str, int]]:
+    """Towerless rules on the cyclic hole vector; returns the movers.
 
+    Robot j sits between hole j-1 and hole j, where ``h[j]`` counts the free
+    nodes from robot j to robot j+1.  A mover is ``j: (kind, step)``: step +1
+    enters hole j, -1 enters hole j-1, 0 lets the adversary pick.  By segment
+    lengths (a segment per nonzero hole):
 
-def _gathering(c: Configuration) -> dict[int, Decision]:
-    """Gathering rules, by segment-length multiset; returns the movers.
-
+    {4}: the two inner robots each try to move onto the other; a lone success
+    forms the two-robot tower, a double success is a swap.
     {3,1}: the isolated robot heads for the block through its shorter hole.
     {2,1,1}: the isolated robot(s) nearest the pair close in on it.
-    {2,2}: the robots bordering a longest hole try to cross it.
-    {1,1,1,1}: movers are picked from how many robots border a longest hole
-    (all four / exactly three / exactly two), so that simultaneous moves can
-    never land two robots on one node.
+    {2,2}, and {1,1,1,1} when every robot borders a longest hole: the robots
+    bordering a longest hole try to cross it; one that borders two heads for
+    the smaller reading of its view, or lets the adversary pick when its view
+    is symmetric.
+    Any other {1,1,1,1}: a robot that borders exactly one longest hole moves
+    away from it, so that simultaneous moves never land two robots on one node.
     """
-    n = len(c)
-    segs = segments(c)
-    hls = holes(c)
-    lengths = sorted(s.length for s in segs)
-    by_neighbor = _holes_by_neighbor(hls)
-
-    if lengths == [1, 3]:
-        iso = next(s.start for s in segs if s.length == 1)
-        near, far = sorted(by_neighbor[iso], key=lambda h: h.length)
-        if near.length == far.length:
-            # Both routes to the block are equally long; the view is symmetric.
-            return {iso: move_adversary()}
-        return {iso: move(near.entry_from(iso))}
-
-    if lengths == [1, 1, 2]:
-        pair = next(s for s in segs if s.length == 2)
-        pair_nodes = set(pair.nodes(n))
-        # Each isolated robot touches exactly one hole bordering the pair.
-        link = {
-            s.start: next(h for h in by_neighbor[s.start]
-                          if (set(h.neighbors) - {s.start}) & pair_nodes)
-            for s in segs if s.length == 1
-        }
-        best = min(h.length for h in link.values())
-        return {r: move(h.entry_from(r)) for r, h in link.items() if h.length == best}
-
-    lmax = max(h.length for h in hls)
-    touching = {r: [h for h in hs if h.length == lmax] for r, hs in by_neighbor.items()}
-    bordering = [r for r, hs in touching.items() if hs]
-
-    if lengths == [2, 2]:
-        return {r: try_move(touching[r][0].entry_from(r)) for r in bordering}
-
-    # Four isolated robots.
-    if len(bordering) == 4:
-        out = {}
-        for r, mine in touching.items():
-            if len(mine) == 1:
-                out[r] = try_move(mine[0].entry_from(r))
-                continue
-            direction = canonical_direction(c, r)
-            out[r] = try_move_adversary() if direction is None else try_move((r + direction) % n)
-        return out
-
-    if len(bordering) == 3:
-        return {r: move(min(by_neighbor[r], key=lambda h: h.length).entry_from(r))
-                for r in bordering if len(touching[r]) == 1}
-
-    # Exactly two robots border the unique longest hole.
-    return {r: move(next(h for h in by_neighbor[r] if h.length != lmax).entry_from(r))
-            for r in bordering}
+    gaps = [j for j in range(4) if h[j]]
+    if len(gaps) == 1:  # robots g+1, g+2, g+3, g in a row
+        g = gaps[0]
+        return {(g + 2) % 4: (TRY_MOVE, 1), (g + 3) % 4: (TRY_MOVE, -1)}
+    if len(gaps) == 3:  # the pair is robots z, z+1
+        z = h.index(0)
+        # Robot z+2 reaches the pair back through hole z+1, z+3 on through hole z+3.
+        routes = {(z + 2) % 4: (h[z - 3], -1), (z + 3) % 4: (h[z - 1], 1)}
+        near = min(h[z - 3], h[z - 1])
+        return {r: (MOVE, step) for r, (hole, step) in routes.items() if hole == near}
+    if len(gaps) == 2 and gaps[1] - gaps[0] != 2:  # adjacent holes: {3,1}
+        iso = next(j for j in gaps if h[j - 1])
+        ahead, behind = h[iso], h[iso - 1]
+        return {iso: (MOVE, (ahead < behind) - (ahead > behind))}
+    lmax = max(h)
+    bordering = [j for j in range(4) if lmax in (h[j], h[j - 1])]
+    if len(gaps) == 4 and len(bordering) < 4:
+        return {j: (MOVE, 1 if h[j] < lmax else -1) for j in bordering if h[j] != h[j - 1]}
+    return {j: (TRY_MOVE, _smaller_reading(h, j)) for j in bordering}
 
 
-# ---------------------------------------------------------------------------
-# Tower formation (4-segment)
-# ---------------------------------------------------------------------------
-
-def _tower_formation(c: Configuration) -> dict[int, Decision]:
-    """The two inner robots of the 4-segment each try to move onto the other;
-    a lone success forms the two-robot tower, a double success is a swap."""
-    n = len(c)
-    start = next(s.start for s in segments(c) if s.length == 4)
-    first, second = (start + 1) % n, (start + 2) % n
-    return {first: try_move(second), second: try_move(first)}
+def _smaller_reading(h: tuple[int, int, int, int], j: int) -> int:
+    """The direction (+1/-1) in which robot j's view reads lexicographically
+    smaller, or 0 when the view is symmetric.  A reading alternates robots
+    and free runs, so a longer first free run sorts first: the larger tuple
+    of hole lengths is the smaller reading.  A robot bordering one longest
+    hole reads smaller toward it."""
+    forward = h[j:] + h[:j]
+    backward = (h[j - 1], h[j - 2], h[j - 3], h[j - 4])
+    return (forward > backward) - (forward < backward)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def canonical_direction(c: Configuration, i: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Segments, holes, arrows
+# Segments, arrows
 # ---------------------------------------------------------------------------
 
 class Segment(NamedTuple):
@@ -151,26 +151,6 @@ class Segment(NamedTuple):
 
     start: int
     length: int
-
-    def nodes(self, n: int) -> tuple[int, ...]:
-        return tuple((self.start + j) % n for j in range(self.length))
-
-
-class Hole(NamedTuple):
-    """Maximal run of free nodes, with its end nodes and occupied neighbors."""
-
-    start: int
-    length: int
-    extremities: tuple[int, int]
-    neighbors: tuple[int, int]
-
-    def entry_from(self, node: int) -> int:
-        """First hole node seen from an adjacent occupied node."""
-        if node == self.neighbors[0]:
-            return self.extremities[0]
-        if node == self.neighbors[1]:
-            return self.extremities[1]
-        raise ValueError(f"node {node} is not a neighbor of this hole")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -191,26 +171,6 @@ def segments(c: Configuration) -> tuple[Segment, ...]:
         elif start is not None:
             out.append(Segment(start % n, j - start))
             start = None
-    return tuple(out)
-
-
-def holes(c: Configuration) -> tuple[Hole, ...]:
-    """All maximal free runs, in ring order from the first occupied node; each
-    carries its end nodes and occupied neighbors.  Read off ``segments``: the
-    holes are the gaps between consecutive segments."""
-    if not any(c):
-        raise ValueError("no occupied node")
-    if 0 not in c:
-        return ()
-    n = len(c)
-    segs = segments(c)
-    if c[0]:  # node 0's segment comes last in ``segs``, and its gap first here
-        segs = segs[-1:] + segs[:-1]
-    out = []
-    for seg, nxt in zip(segs, segs[1:] + segs[:1]):
-        start = (seg.start + seg.length) % n
-        length = (nxt.start - start) % n
-        out.append(Hole(start, length, (start, (nxt.start - 1) % n), ((start - 1) % n, nxt.start)))
     return tuple(out)
 
 

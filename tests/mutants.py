@@ -2,7 +2,26 @@
 to show that the checks catch a faulty protocol."""
 
 from ring_explorer import protocol
-from ring_explorer.ring import find_arrow, holes, is_towerless, segments
+from ring_explorer.ring import find_arrow, is_towerless, segments
+
+
+def _free_runs(c, i):
+    """The free runs on either side of occupied node ``i``, as ``(length,
+    step)`` with ``step`` the move into the run, found by walking to the
+    nearest occupied node each way.  They come in ring order from the first
+    occupied node, so the run behind ``i`` comes first unless the robot
+    behind has the larger index; ties go to the first."""
+    n = len(c)
+
+    def walk(step):
+        j = 1
+        while not c[(i + step * j) % n]:
+            j += 1
+        return j
+
+    ahead, behind = walk(1), walk(-1)
+    runs = [(behind - 1, -1), (ahead - 1, 1)]
+    return runs if (i - behind) % n < i else runs[::-1]
 
 
 def shortest_hole_mutant(c, i):
@@ -10,9 +29,8 @@ def shortest_hole_mutant(c, i):
     shortest neighboring hole (possibly of length 1)."""
     if is_towerless(c) and sorted(s.length for s in segments(c)) == [1, 1, 1, 1]:
         if c[i]:
-            mine = [h for h in holes(c) if i in h.neighbors]
-            shortest = min(mine, key=lambda h: h.length)
-            return protocol.try_move(shortest.entry_from(i))
+            _, step = min(_free_runs(c, i), key=lambda run: run[0])
+            return protocol.try_move((i + step) % len(c))
     return protocol.decide(c, i)
 
 
@@ -21,9 +39,9 @@ def gap_filler_mutant(c, i):
     into it.  One robot alone never makes a tower this way; both neighbours
     of the hole landing in the same step do."""
     if protocol.phase(c) == "scatter" and c[i]:
-        gaps = [h for h in holes(c) if h.length == 1 and i in h.neighbors]
+        gaps = [step for length, step in _free_runs(c, i) if length == 1]
         if gaps:
-            return protocol.move(gaps[0].entry_from(i))
+            return protocol.move((i + gaps[0]) % len(c))
     return protocol.decide(c, i)
 
 

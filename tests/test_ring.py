@@ -1,10 +1,10 @@
-"""Configuration model: symmetries, views, segments/holes, arrows."""
+"""Configuration model: symmetries, views, segments, arrows."""
 
 import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ring_explorer import ring
@@ -14,7 +14,6 @@ from ring_explorer.ring import (
     canonical_direction,
     canonical_form,
     find_arrow,
-    holes,
     mirror,
     rotate,
     segments,
@@ -172,74 +171,43 @@ class TestSegmentsHoles:
         c = (1, 1, 1, 0, 0, 1, 0, 0, 0)
         segs = {(s.start, s.length) for s in segments(c)}
         assert segs == {(0, 3), (5, 1)}
-        hls = {(h.start, h.length) for h in holes(c)}
-        assert hls == {(3, 2), (6, 3)}
-
-    def test_hole_neighbors_and_extremities(self):
-        c = (1, 1, 1, 0, 0, 1, 0, 0, 0)
-        by_start = {h.start: h for h in holes(c)}
-        assert by_start[3].neighbors == (2, 5)
-        assert by_start[3].extremities == (3, 4)
-        assert by_start[6].neighbors == (5, 0)
-        assert by_start[6].extremities == (6, 8)
-        assert by_start[6].entry_from(5) == 6
-        assert by_start[6].entry_from(0) == 8
 
     def test_alternation(self):
         c = (1, 0, 1, 0)
         assert sorted(s.length for s in segments(c)) == [1, 1]
-        assert sorted(h.length for h in holes(c)) == [1, 1]
 
     def test_all_free(self):
         assert segments((0, 0, 0, 0)) == ()
-        with pytest.raises(ValueError, match="no occupied node"):
-            holes((0, 0, 0, 0))
 
     def test_all_occupied(self):
-        assert holes((1, 1, 1, 1)) == ()
         with pytest.raises(ValueError, match="no free node"):
             segments((1, 1, 1, 1))
-
-    @given(st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=14).map(tuple))
-    @settings(max_examples=300)
-    def test_lengths_cover_ring(self, c):
-        if all(v == 0 for v in c) or all(v > 0 for v in c):
-            return
-        total = sum(s.length for s in segments(c)) + sum(h.length for h in holes(c))
-        assert total == len(c)
-        assert len(segments(c)) == len(holes(c))
 
     def test_match_per_node_scan_exhaustive(self):
         for n in range(3, 11):
             for k in range(5):
                 for c in ring.configurations(n, k):
-                    assert run_scan_result(segments, c) == per_node_runs(c, occupied=True)
-                    assert run_scan_result(holes, c) == per_node_runs(c, occupied=False)
+                    assert run_scan_result(segments, c) == per_node_runs(c)
 
 
-def per_node_runs(c, occupied):
-    """Oracle for ``segments``/``holes``: a run starts at each matching node
-    whose predecessor does not match and is walked node by node; runs are
-    listed in ring order from the first non-matching node."""
+def per_node_runs(c):
+    """Oracle for ``segments``: a run starts at each occupied node whose
+    predecessor is free and is walked node by node; runs are listed in ring
+    order from the first free node."""
     n = len(c)
-    match = [(v > 0) == occupied for v in c]
-    if not any(match):
+    if not any(c):
         return ()
-    if all(match):
-        return ("ValueError", "no free node" if occupied else "no occupied node")
-    anchor = match.index(False)
+    if all(c):
+        return ("ValueError", "no free node")
+    anchor = c.index(0)
     runs = []
     for offset in range(1, n + 1):
         start = (anchor + offset) % n
-        if match[start] and not match[start - 1]:
+        if c[start] and not c[start - 1]:
             length = 1
-            while match[(start + length) % n]:
+            while c[(start + length) % n]:
                 length += 1
-            if occupied:
-                runs.append((start, length))
-            else:
-                end = (start + length - 1) % n
-                runs.append((start, length, (start, end), ((start - 1) % n, (end + 1) % n)))
+            runs.append((start, length))
     return tuple(runs)
 
 
