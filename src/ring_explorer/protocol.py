@@ -13,21 +13,19 @@ until it reaches the node next to the head.  The first two regimes are one
 rule, on the four hole lengths alone: the free runs between consecutive
 robots.
 
-Robots are anonymous, so the rules give the same answer, rotated, on every
-rotation of a snapshot.  Each regime's rule decides for every robot of a
-snapshot in one pass, and runs once per rotation class: on its
-representative, the least rotation that starts at an occupied node.  A
-bounded memo keeps each representative's decisions, which are mapped back to
-the snapshot's nodes once per snapshot, after the domain check; ``decide``
-reads one node's answer from that map, and remembers the map of the last
-snapshot object it was asked about.  Equal decisions are one shared
-``Decision`` value.
+Robots are anonymous and oblivious: each decides from its own snapshot, and
+a rotation of the snapshot only rotates its hole vector.  So every snapshot
+is decided directly from its occupied nodes, for every robot in one pass,
+after the domain check; a bounded memo keeps the towerless movers per hole
+vector.  ``decide`` reads one node's answer from that map, and remembers the
+map of the last snapshot object it was asked about.  Equal decisions are one
+shared ``Decision`` value.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple, Optional
 
 from .ring import Configuration, find_arrow, has_tower, occupied_nodes, segments
@@ -104,17 +102,29 @@ def phase(c: Configuration) -> str:
 def decide(c: Configuration, i: int) -> Decision:
     """The decision of the robots on occupied node ``i`` of snapshot ``c``.
 
-    A snapshot outside the domain (not four robots, or n <= 8) raises
-    ProtocolError before a node outside ``0..n-1`` or an unoccupied ``i``
-    raises ValueError.  Nothing is cached per (snapshot, node): the answer
-    is read from the map ``_decisions`` builds once per snapshot.  Callers
-    ask about one snapshot's nodes back to back, so the last snapshot's map
-    is kept, tested by identity: snapshots are immutable tuples.
+    A snapshot that is not a tuple raises TypeError.  A snapshot outside the
+    domain (not four robots, or n <= 8) raises ProtocolError before a node
+    that is not an integer, outside ``0..n-1`` or unoccupied raises
+    ValueError; a bool counts as its int.  Nothing is cached per (snapshot,
+    node): the answer is read from the map ``_rules`` builds once per
+    snapshot.  Callers ask about one snapshot's nodes back to back, so the
+    last snapshot's map is kept, tested by identity: snapshots are immutable
+    tuples.
     """
     global _last, _last_decisions
     if c is not _last:
-        _last_decisions = _decisions(c)  # raises before the memo moves
+        if not isinstance(c, tuple):
+            raise TypeError(f"a snapshot must be a tuple, got {type(c).__name__}")
+        n = len(c)
+        if n <= 8 or sum(c) != 4:
+            raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
+        _last_decisions = _rules(c)  # raises before the memo moves
         _last = c
+    if type(i) is not int:
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"node must be an integer, got {i!r}") from None
     decisions = _last_decisions
     if i in decisions:
         return decisions[i]
@@ -128,58 +138,32 @@ _last: Optional[Configuration] = None
 _last_decisions: dict[int, Decision] = {}
 
 
-def _decisions(c: Configuration) -> dict[int, Decision]:
-    """Every occupied node's decision: the rules of ``c``'s representative,
-    the least of its rotations that start at an occupied node (the same
-    tuple for every rotation of ``c``), with each node and target moved back
-    by the shift to it.  A snapshot outside the domain raises ProtocolError."""
-    n = len(c)
-    if n <= 8 or sum(c) != 4:
-        raise ProtocolError(f"out of protocol domain: need k=4 and n>8, got k={sum(c)}, n={n}")
-    cc = c + c
-    rep = None
-    for r in compress(range(n), c):
-        rotation = cc[r:r + n]
-        if rep is None or rotation < rep:
-            rep, shift = rotation, r
-    rules = _rules(rep)
-    if not shift:
-        return rules
-    out = {}
-    for v, d in rules.items():
-        if d.target is not None:
-            d = (move if d.kind == MOVE else try_move)((d.target + shift) % n)
-        out[(v + shift) % n] = d
-    return out
-
-
-@lru_cache(maxsize=1 << 14)
 def _rules(c: Configuration) -> dict[int, Decision]:
-    """Every occupied node's decision, by the snapshot's phase.
+    """Every occupied node's decision, read from the occupied nodes ``p``.
 
-    Final arrow: everyone idles (terminal).  An arrow goes to the tail walk.
     A towerless snapshot goes to the gathering rules, which read only its
-    four hole lengths; their movers are mapped back to nodes here.  Every
-    robot no rule names idles.  A tower outside an arrow is rejected: those
-    snapshots are unreachable.  Kept for the representatives ``_decisions``
-    asks about, one per rotation class; ``_rules.__wrapped__`` is the rules
-    with no memo.
+    four hole lengths; their movers are mapped back to nodes here.  On an
+    arrow only the tail moves, one step into the hole that separates it from
+    the head, unless the arrow is final (terminal).  Every robot no rule
+    names idles.  A tower outside an arrow is rejected: those snapshots are
+    unreachable.  Neither k nor n is checked here: ``decide`` checks the domain.
     """
-    kind = phase(c)
-    if kind == "invalid":
-        raise ProtocolError("unsupported configuration: tower without an arrow")
-    out = dict.fromkeys(occupied_nodes(c), idle())
-    if kind == "arrow":
-        out.update(_tail_walk(c))
-    elif kind != "final":
-        n = len(c)
-        p = tuple(out)
-        h = tuple((p[(j + 1) % 4] - p[j] - 1) % n for j in range(4))
-        for j, (how, step) in _gathering(h).items():
+    n = len(c)
+    p = occupied_nodes(c)
+    out = dict.fromkeys(p, idle())
+    if len(p) == 4:
+        a, b, d, e = p
+        for j, (how, step) in _gathering((b - a - 1, d - b - 1, e - d - 1, n - 1 + a - e)).items():
             if step:
                 out[p[j]] = (move if how == MOVE else try_move)((p[j] + step) % n)
             else:
                 out[p[j]] = move_adversary() if how == MOVE else try_move_adversary()
+        return out
+    arrow = find_arrow(c)
+    if arrow is None:
+        raise ProtocolError("unsupported configuration: tower without an arrow")
+    if arrow.size != n - 3:
+        out[arrow.tail] = move((arrow.tail - arrow.orientation) % n)
     return out
 
 
@@ -187,8 +171,10 @@ def _rules(c: Configuration) -> dict[int, Decision]:
 # Gathering (towerless)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 14)
 def _gathering(h: tuple[int, int, int, int]) -> dict[int, tuple[str, int]]:
-    """Towerless rules on the cyclic hole vector; returns the movers.
+    """Towerless rules on the cyclic hole vector; returns the movers, as a
+    memoised dict that callers share and must not mutate.
 
     Robot j sits between hole j-1 and hole j, where ``h[j]`` counts the free
     nodes from robot j to robot j+1.  A mover is ``j: (kind, step)``: step +1
@@ -237,13 +223,3 @@ def _smaller_reading(h: tuple[int, int, int, int], j: int) -> int:
     backward = (h[j - 1], h[j - 2], h[j - 3], h[j - 4])
     return (forward > backward) - (forward < backward)
 
-
-# ---------------------------------------------------------------------------
-# Tail walk (non-final arrow)
-# ---------------------------------------------------------------------------
-
-def _tail_walk(c: Configuration) -> dict[int, Decision]:
-    """Only the arrow tail moves: one step into the hole that separates it
-    from the head, growing the arrow by one.  Fully deterministic."""
-    arrow = find_arrow(c)
-    return {arrow.tail: move((arrow.tail - arrow.orientation) % len(c))}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Configuration = tuple[int, ...]
@@ -60,7 +60,7 @@ def configurations(n: int, k: int) -> Iterator[Configuration]:
 
 
 def occupied_nodes(c: Configuration) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(c) if v > 0)
+    return tuple(compress(range(len(c)), c))
 
 
 def is_towerless(c: Configuration) -> bool:

@@ -3,6 +3,7 @@ the tail walk, and the towerless rules' dependence on the hole vector's
 signature alone."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -12,10 +13,10 @@ from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
 from ring_explorer.ring import configurations, find_arrow, mirror, occupied_nodes, rotate, segments
 from ring_explorer.verify import check_no_tower_one_step, successor_rule
 
-# The rules with no memo and no rotation: ``decide`` answers from the rules
-# of a representative rotation, so the anonymity tests and the oracle below
-# read the rules themselves.
-direct_rules = protocol._rules.__wrapped__
+# The rules with no domain check and no identity memo: the anonymity tests
+# and the oracle below read the code path ``decide`` runs, outside its domain
+# too.
+direct_rules = protocol._rules
 
 
 def direct(c, i):
@@ -67,8 +68,18 @@ class TestDispatch:
             decide(c, i)
 
     def test_unhashable_snapshot(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="must be a tuple"):
             decide([1, 1, 1, 1, 0, 0, 0, 0, 0], 1)
+
+    @pytest.mark.parametrize("i", [1.0, "1", None])
+    def test_non_integer_node(self, i):
+        with pytest.raises(ValueError, match="must be an integer"):
+            decide((1, 1, 1, 1, 0, 0, 0, 0, 0), i)
+
+    def test_bool_node_reads_as_its_int(self):
+        c = (1, 1, 1, 1, 0, 0, 0, 0, 0)
+        assert decide(c, True) == decide(c, 1)
+        assert decide(c, False) == decide(c, 0)
 
     def test_unoccupied_node(self):
         with pytest.raises(ValueError):
@@ -288,8 +299,9 @@ class TestAnonymity:
 
 
 class TestRepresentativeMemo:
-    """``decide`` runs the rules once per representative rotation and maps
-    the answer back; the rules run directly on the snapshot are the oracle."""
+    """``decide``'s memos: the map of the last snapshot, kept by identity,
+    and the towerless movers, kept per hole vector; the rules run directly
+    on the snapshot are the oracle."""
 
     @pytest.mark.parametrize("n", range(9, 15))
     def test_decide_matches_direct_rules(self, n):
@@ -306,18 +318,15 @@ class TestRepresentativeMemo:
                 assert decide(c, i) == expected[i], (c, i)
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12, 20])
-    def test_rules_run_once_per_rotation_class(self, n):
-        scatters = [c for c in towerless_configs(n)
-                    if not any(s.length == 4 for s in segments(c))]
-        classes = {min(rotate(c, r) for r in range(n)) for c in scatters}
-        protocol._rules.cache_clear()
+    def test_gathering_runs_once_per_hole_vector(self, n):
+        # Every hole vector of n - 4 free nodes but the four 4-segments:
+        # 52, 80, 116, 161 and 965 at n = 9, 10, 11, 12, 20.
+        protocol._gathering.cache_clear()
         check_no_tower_one_step(n)
-        assert protocol._rules.cache_info().currsize == len(classes)
-        if n == 20:
-            assert len(classes) == 244
+        assert protocol._gathering.cache_info().currsize == comb(n - 1, 3) - 4
 
     def test_identity_memo_serves_no_stale_answer(self):
-        c1 = (0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1)  # its representative is a rotation
+        c1 = (0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1)
         c2 = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)  # k = 3: outside the domain
         copy = tuple(list(c1))
         assert copy == c1 and copy is not c1
@@ -366,7 +375,7 @@ def near_five_idler(h):
     lengths = [x for x in h if x]
     if len(lengths) == 2 and any(h[j] and h[j - 1] for j in range(4)) and min(lengths) == 5:
         return {}
-    return protocol._gathering(h)
+    return protocol._gathering.__wrapped__(h)
 
 
 class TestSignatureLemma:
@@ -375,7 +384,7 @@ class TestSignatureLemma:
     the no-tower verdict's own dependence on the signature is not checked."""
 
     def test_gathering_depends_only_on_the_signature(self):
-        assert signature_conflicts(protocol._gathering) == (0, 1094)
+        assert signature_conflicts(protocol._gathering.__wrapped__) == (0, 1094)
 
     def test_a_rule_reading_a_long_hole_conflicts(self):
         conflicts, _ = signature_conflicts(near_five_idler)

@@ -43,7 +43,7 @@ def expected_one_step_instances(n, decide=protocol.decide):
     product, so ``TestOneStepOracle`` counts the branches one by one."""
     total = 0
     for c in towerless_configs(n):
-        if protocol.has_four_segment(c):
+        if protocol.phase(c) == "four-segment":
             continue
         product = 1
         for node in occupied_nodes(c):
@@ -135,7 +135,7 @@ class TestScatterEnumeration:
 
         monkeypatch.setattr(verify, "_check_successors", spy)
         check_no_tower_one_step(n)
-        expected = [c for c in towerless_configs(n) if not protocol.has_four_segment(c)]
+        expected = [c for c in towerless_configs(n) if protocol.phase(c) != "four-segment"]
         assert [c for c, _ in seen] == expected
         assert all(protocol.phase(c) == "scatter" for c, _ in seen)
         assert {rule for _, rule in seen} == {is_towerless}
