@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
-from .ring import Configuration, as_config, format_config, has_tower, occupied_nodes
+from .ring import Configuration, as_config, format_config, is_towerless, occupied_nodes
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
@@ -459,7 +459,7 @@ def run(
     if limit < 0:
         raise ValueError(f"max_steps must be a non-negative integer, not {max_steps!r}")
     c = as_config(initial)
-    if require_towerless and has_tower(c):
+    if require_towerless and not is_towerless(c):
         raise ValueError("initial configuration must be towerless")
     if rng is None:
         rng = random.Random(seed)

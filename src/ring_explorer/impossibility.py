@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -83,7 +84,7 @@ ProtocolTable = tuple[int, ...]
 def enumerate_view_classes(n: int = N, k: int = K) -> list[ViewClass]:
     """All views seen from occupied nodes across every k-robot configuration,
     deduplicated as unordered direction pairs."""
-    keys = {view_of(c, i).as_pair() for c in configurations(n, k) for i in occupied_nodes(c)}
+    keys = {tuple(sorted(view_of(c, i))) for c in configurations(n, k) for i in occupied_nodes(c)}
     return [ViewClass(index=index, view=key, symmetric=key[0] == key[1])
             for index, key in enumerate(sorted(keys))]
 
@@ -112,15 +113,20 @@ def table_mask(table: ProtocolTable) -> int:
     """The table's supports as one int, class i's in bits 3i to 3i + 2.  The
     one validation boundary for tables: raises ValueError unless the table
     is one ``enumerate_protocols`` yields, with one entry per view class and
-    each entry one of its class's ``mask_choices`` (so never 0)."""
+    each entry one of its class's ``mask_choices`` (so never 0).  A bool
+    reads as its int; a float, a string or None is malformed."""
     choices = _tables().choice_bits
     if len(table) != len(choices):
         raise ValueError(f"table has {len(table)} supports, not one per view class "
                          f"({len(choices)})")
     tm = 0
-    for index, mask in enumerate(table):
+    for index, entry in enumerate(table):
+        try:
+            mask = entry if type(entry) is int else operator.index(entry)
+        except TypeError:
+            mask = -1
         if mask < 0 or not choices[index] >> mask & 1:
-            raise ValueError(f"support {mask!r} of class {index} is not one of its mask_choices")
+            raise ValueError(f"support {entry!r} of class {index} is not one of its mask_choices")
         tm |= mask << (3 * index)
     return tm
 
@@ -160,7 +166,7 @@ class _Tables:
         self.options: dict[tuple[int, int], tuple[tuple[Optional[int], int], ...]] = {}
         for cid, c in enumerate(self.configs):
             for v in occupied_nodes(c):
-                base = 3 * class_by_view[view_of(c, v).as_pair()]
+                base = 3 * class_by_view[tuple(sorted(view_of(c, v)))]
                 direction = canonical_direction(c, v)
                 step = direction or -1
                 back = BACKWARD_BIT if direction else FORWARD_BIT

@@ -28,7 +28,7 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .ring import Configuration, find_arrow, has_tower, occupied_nodes, segments
+from .ring import Configuration, find_arrow, is_towerless, occupied_nodes, segments
 
 IDLE = "idle"
 MOVE = "move"
@@ -94,7 +94,7 @@ def phase(c: Configuration) -> str:
     arrow = find_arrow(c)
     if arrow is not None:
         return "final" if arrow.size == len(c) - 3 else "arrow"
-    if has_tower(c):
+    if not is_towerless(c):
         return "invalid"
     return "four-segment" if has_four_segment(c) else "scatter"
 

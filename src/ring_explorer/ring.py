@@ -67,10 +67,6 @@ def is_towerless(c: Configuration) -> bool:
     return max(c) <= 1
 
 
-def has_tower(c: Configuration) -> bool:
-    return max(c) >= 2
-
-
 # ---------------------------------------------------------------------------
 # Symmetries
 # ---------------------------------------------------------------------------
@@ -104,29 +100,15 @@ def canonical_form(c: Configuration) -> Configuration:
 # Views
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class View:
-    """The two multiplicity sequences read from a node, one per direction."""
-
-    forward: Configuration
-    backward: Configuration
-
-    @property
-    def symmetric(self) -> bool:
-        return self.forward == self.backward
-
-    def as_pair(self) -> tuple[Configuration, Configuration]:
-        """Unordered form: the sorted pair, what an anonymous robot sees."""
-        return tuple(sorted((self.forward, self.backward)))  # type: ignore[return-value]
-
-
-def view_of(c: Configuration, i: int) -> View:
+def view_of(c: Configuration, i: int) -> tuple[Configuration, Configuration]:
+    """The two multiplicity sequences read from node i, ``(forward,
+    backward)``; an anonymous robot sees them as the sorted pair."""
     n = len(c)
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range for n={n}")
     forward = tuple(c[(i + j) % n] for j in range(n))
     backward = tuple(c[(i - j) % n] for j in range(n))
-    return View(forward, backward)
+    return forward, backward
 
 
 def canonical_direction(c: Configuration, i: int) -> Optional[int]:
@@ -136,10 +118,10 @@ def canonical_direction(c: Configuration, i: int) -> Optional[int]:
     it is invariant under rotation and flips sign under reflection, which makes
     it a legitimate tie-breaker for anonymous robots.
     """
-    v = view_of(c, i)
-    if v.symmetric:
+    forward, backward = view_of(c, i)
+    if forward == backward:
         return None
-    return 1 if v.forward < v.backward else -1
+    return 1 if forward < backward else -1
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +175,20 @@ class Arrow:
 def find_arrow(c: Configuration) -> Optional[Arrow]:
     """The unique arrow of the configuration, or None.
 
-    Requires exactly one node of multiplicity 2 adjacent to a single robot
-    (the head), with at least one free node between the tower and the other
-    single robot (the tail).
+    Three occupied nodes hold 1, 1 and 2 robots.  The tower's next occupied
+    node in one direction is the head, with no free node between; the next
+    in the other direction is the tail, with at least one free node between.
     """
-    if sorted(v for v in c if v > 0) != [1, 1, 2]:
+    p = occupied_nodes(c)
+    if len(p) != 3 or sum(c) != 4:
         return None
     n = len(c)
-    tower = next(i for i, v in enumerate(c) if v == 2)
-    for orientation in (1, -1):
-        head = (tower + orientation) % n
-        if c[head] != 1:
-            continue
-        size = 0
-        j = (tower - orientation) % n
-        while c[j] == 0:
-            size += 1
-            j = (j - orientation) % n
-        if size >= 1 and c[j] == 1:
-            return Arrow(tail=j, head=head, tower=tower, size=size, orientation=orientation)
+    tower = c.index(2)
+    t = p.index(tower)
+    before, after = p[t - 1], p[(t + 1) % 3]
+    ahead, behind = (after - tower - 1) % n, (tower - before - 1) % n
+    if not ahead and behind:
+        return Arrow(tail=before, head=after, tower=tower, size=behind, orientation=1)
+    if not behind and ahead:
+        return Arrow(tail=after, head=before, tower=tower, size=ahead, orientation=-1)
     return None

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -75,6 +76,16 @@ class TestCount:
         lines = out.strip().splitlines()
         assert lines[0] == "n\tk\tclasses"
         assert lines[1:] == ["4\t3\t2", "5\t3\t2", "6\t3\t3"]
+
+    def test_console_script_entry_point(self, capsys):
+        # The `ring-explorer` command the README calls is the entry point
+        # pyproject.toml declares; it resolves to this main.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^ring-explorer = "([\w.]+):(\w+)"$', text, re.M)
+        entry = getattr(importlib.import_module(target[1]), target[2])
+        assert entry is main
+        assert entry(["count", "--k", "3", "--n", "4"]) == 0
+        assert capsys.readouterr().out == "2\n"
 
 
 class TestVerify:

@@ -3,11 +3,15 @@ is used somewhere in ``src/`` or named in the README, apart from its own
 definition and its re-export in ``__init__.py``, and every public method and
 property of the package's classes is read as ``.name`` there.  Code that
 only tests call belongs in ``tests/``.  A README name counts only because the
-README's library sketch runs: the last test here executes it."""
+README's library sketch runs: the last test here executes it.  The package
+root binds exactly the names that sketch imports from it."""
 
 import ast
 import re
+import types
 from pathlib import Path
+
+import ring_explorer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ring_explorer"
@@ -58,8 +62,22 @@ def test_every_public_member_is_read():
     assert unused_public_members() == []
 
 
-def test_readme_library_sketch_runs():
+def library_sketch():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_root_exports_what_the_sketch_imports():
+    imported = {alias.name for node in ast.walk(ast.parse(library_sketch()))
+                if isinstance(node, ast.ImportFrom) and node.module == "ring_explorer"
+                for alias in node.names}
+    exported = {name for name, value in vars(ring_explorer).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == imported
+    assert len(exported) == 9
+
+
+def test_readme_library_sketch_runs():
+    sketch = library_sketch()
     assert "is_terminal" in sketch and "ScriptedAdversary" in sketch
     exec(compile(sketch, "README.md (library sketch)", "exec"), {})

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -38,7 +39,7 @@ TABLES = list(imp.enumerate_protocols(imp.enumerate_view_classes()))
 
 
 def class_index(classes, config, node):
-    return next(vc.index for vc in classes if vc.view == view_of(config, node).as_pair())
+    return next(vc.index for vc in classes if vc.view == tuple(sorted(view_of(config, node))))
 
 
 def named_table(classes, **supports):
@@ -164,6 +165,26 @@ class TestTableValidation:
         cert = imp.Certificate(imp.UNREFUTED)
         with pytest.raises(ValueError, match="view class|mask_choices"):
             imp.validate_certificate(malformed_table(classes, kind), cert, "distributed")
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None], ids=["float", "string", "none"])
+    def test_non_integer_entry_rejected(self, entry):
+        # Read as integers, 1.0 and "1" would be the idle support; each is
+        # malformed, and the message names the entry as it was given.
+        table = (entry,) * len(TABLES[0])
+        message = f"support {re.escape(repr(entry))} of class 0 is not one of its mask_choices"
+        for with_witness in (False, True):
+            with pytest.raises(ValueError, match=message):
+                imp.refute(table, "distributed", with_witness=with_witness)
+        with pytest.raises(ValueError, match=message):
+            imp.validate_certificate(table, imp.Certificate(imp.UNREFUTED), "distributed")
+
+    def test_bool_entry_reads_as_its_int(self):
+        table = (True,) * len(TABLES[0])
+        assert imp.table_mask(table) == imp.table_mask(TABLES[0])
+        for mode in ("distributed", "sequential"):
+            cert = imp.refute(table, mode)
+            assert cert == imp.refute(TABLES[0], mode)
+            imp.validate_certificate(table, cert, mode)
 
     def test_unknown_mode_rejected(self, classes):
         # The all-idle table's certificate validates in distributed mode; in

@@ -135,22 +135,16 @@ class TestCanonicalForm:
 
 class TestView:
     def test_symmetric_view(self):
-        v = view_of((2, 0, 1, 0), 0)
-        assert v.forward == (2, 0, 1, 0)
-        assert v.backward == (2, 0, 1, 0)
-        assert v.symmetric
+        assert view_of((2, 0, 1, 0), 0) == ((2, 0, 1, 0), (2, 0, 1, 0))
 
     def test_asymmetric_view(self):
-        v = view_of((2, 1, 0, 0), 1)
-        assert v.forward == (1, 0, 0, 2)
-        assert v.backward == (1, 2, 0, 0)
-        assert not v.symmetric
+        assert view_of((2, 1, 0, 0), 1) == ((1, 0, 0, 2), (1, 2, 0, 0))
 
     @given(configs, st.integers(min_value=0, max_value=11))
     def test_starts_at_observer(self, c, i):
         i %= len(c)
-        v = view_of(c, i)
-        assert v.forward[0] == c[i] == v.backward[0]
+        forward, backward = view_of(c, i)
+        assert forward[0] == c[i] == backward[0]
 
     def test_symmetric_iff_reflection_fixed(self):
         # exhaustive over all 0/1 configurations up to n=10
@@ -158,7 +152,8 @@ class TestView:
             for c in itertools.product((0, 1), repeat=n):
                 for i in range(n):
                     reflected = tuple(c[(2 * i - j) % n] for j in range(n))
-                    assert view_of(c, i).symmetric == (reflected == c)
+                    forward, backward = view_of(c, i)
+                    assert (forward == backward) == (reflected == c)
 
     def test_canonical_direction(self):
         assert canonical_direction((1, 1, 1, 0), 0) == -1  # toward the hole
@@ -239,6 +234,27 @@ def arrow_oracle(c):
     return found
 
 
+def arrow_walk(c):
+    """Oracle for ``find_arrow``: from the one 2-tower, try each neighbor as
+    the head and walk the other way over free nodes to the tail."""
+    if sorted(v for v in c if v > 0) != [1, 1, 2]:
+        return None
+    n = len(c)
+    tower = c.index(2)
+    for orientation in (1, -1):
+        head = (tower + orientation) % n
+        if c[head] != 1:
+            continue
+        size = 0
+        j = (tower - orientation) % n
+        while c[j] == 0:
+            size += 1
+            j = (j - orientation) % n
+        if size >= 1 and c[j] == 1:
+            return Arrow(tail=j, head=head, tower=tower, size=size, orientation=orientation)
+    return None
+
+
 class TestArrow:
     def test_primary_arrow(self):
         a = find_arrow((2, 1, 0, 0, 1, 0))
@@ -283,3 +299,11 @@ class TestArrow:
                         )
                     else:
                         assert got is None
+
+    def test_matches_node_walk_exhaustive(self):
+        # every configuration of 0..6 robots on 3..12 nodes; the uncached
+        # function, so the sweep leaves the memo alone
+        for n in range(3, 13):
+            for k in range(7):
+                for c in ring.configurations(n, k):
+                    assert find_arrow.__wrapped__(c) == arrow_walk(c), c

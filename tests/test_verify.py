@@ -10,8 +10,8 @@ import pytest
 from ring_explorer import protocol, verify
 from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, mrp, run,
                                   sample_towerless, successors)
-from ring_explorer.ring import (canonical_form, configurations, find_arrow, has_tower,
-                                is_towerless, occupied_nodes, parse_config, segments)
+from ring_explorer.ring import (canonical_form, configurations, find_arrow, is_towerless,
+                                occupied_nodes, parse_config, segments)
 from ring_explorer.verify import (
     CheckReport,
     InvariantViolation,
@@ -231,7 +231,7 @@ class TestMrpBounds:
          (0, 0, 4, 0, 0, 0, 0, 0, 0), (0, 0, 3, 1, 0, 0, 0, 0, 0)],  # too short: violations
     ], ids=["all-n5", "short-n9"])
     def test_report_matches_separate_tower_scans(self, configs):
-        # Forged sequential runs: the report equals one built from a has_tower
+        # Forged sequential runs: the report equals one built from a tower
         # scan and a has_small_tower scan of the collapsed sequence.
         n, k = len(configs[0]), 4
         trace = forged_trace(configs)
@@ -239,7 +239,7 @@ class TestMrpBounds:
         small = [c for c in prefix if verify.has_small_tower(c, k)]
         measured = {
             "mrp_length": len(prefix),
-            "with_tower": sum(1 for c in prefix if has_tower(c)),
+            "with_tower": sum(1 for c in prefix if not is_towerless(c)),
             "with_small_tower": len(small),
             "distinguishable_small_tower": len({canonical_form(c) for c in small}),
         }
