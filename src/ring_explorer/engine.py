@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
-from .ring import Configuration, as_config, format_config, is_towerless, occupied_nodes
+from .ring import Configuration, as_config, format_config, is_towerless, occupied_nodes, placement
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
@@ -500,8 +500,4 @@ def sample_towerless(n: int, k: int, rng: random.Random) -> Configuration:
     """Uniform draw over the C(n, k) towerless configurations."""
     if k > n:
         raise ValueError(f"cannot place {k} robots on {n} nodes without a tower")
-    nodes = rng.sample(range(n), k)
-    c = [0] * n
-    for node in nodes:
-        c[node] = 1
-    return tuple(c)
+    return placement(n, rng.sample(range(n), k))

@@ -34,6 +34,7 @@ class's support, split into one mask per robot and kind of forcing action.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .engine import successors
-from .ring import canonical_direction, canonical_form, configurations, occupied_nodes, view_of
+from .ring import (canonical_direction, canonical_form, configurations, occupied_nodes, placement,
+                   view_of)
 
 N = 4
 K = 3
@@ -141,11 +143,11 @@ def _bits(mask: int) -> list[int]:
 
 class _Tables:
     """The table-independent transition structure of three robots on the
-    four-ring: view classes, configurations, each robot's options, the kept
-    branches per configuration that a table's move bits there allow
-    (``allowed``, per mode), the symmetry orbits, and the forcing game
-    packed per view class and support field (``game``), plus the memo of
-    certificate kinds per mode and move bits (``kinds``).
+    four-ring: view classes, configurations, each robot's options, the first
+    branch to each successor that a table's move bits allow at each
+    configuration (``allowed``, per mode), the symmetry orbits, and the
+    forcing game packed per view class and support field (``game``), plus the
+    memo of certificate kinds per mode and move bits (``kinds``).
     ``_tables`` builds them once per process."""
 
     def __init__(self) -> None:
@@ -162,8 +164,10 @@ class _Tables:
         # What one robot on node v of config cid may do, with the element bit
         # that allows it: idle, then the forward and backward moves under
         # canonical_direction.  A symmetric view moves to v-1 or v+1 under its
-        # one "move" bit.
+        # one "move" bit.  ``config_moves[cid]`` gathers the element bits that
+        # move a robot of config cid, and ``move_bits`` those of every config.
         self.options: dict[tuple[int, int], tuple[tuple[Optional[int], int], ...]] = {}
+        self.config_moves = [0] * len(self.configs)
         for cid, c in enumerate(self.configs):
             for v in occupied_nodes(c):
                 base = 3 * class_by_view[tuple(sorted(view_of(c, v)))]
@@ -173,15 +177,8 @@ class _Tables:
                 self.options[(cid, v)] = ((None, IDLE_BIT << base),
                                           ((v + step) % N, FORWARD_BIT << base),
                                           ((v - step) % N, back << base))
-
-        # Element bits that move a robot: per (config, node) and per config.
-        self.node_moves = {key: opts[1][1] | opts[2][1] for key, opts in self.options.items()}
-        self.config_moves = [0] * len(self.configs)
-        for (cid, _), bits in self.node_moves.items():
-            self.config_moves[cid] |= bits
-        self.move_bits = 0
-        for bits in self.config_moves:
-            self.move_bits |= bits
+                self.config_moves[cid] |= (FORWARD_BIT | back) << base
+        self.move_bits = functools.reduce(operator.or_, self.config_moves)
 
         # Per mode, the certificate kind of each table's move bits
         # ``tm & move_bits``, filled by ``refute``.  Exact: ``_search`` reads
@@ -193,30 +190,37 @@ class _Tables:
         # per mode.
         self.kinds: dict[str, dict[int, str]] = {"distributed": {}, "sequential": {}}
 
-        # Per mode and config, the kept branches, as (required element bits,
-        # successor config id << N, successor occupied-node mask, combo),
-        # combo = ((node, robots activated there), ...), ((node, dest), ...).
-        # Each config's branches are enumerated once, over move options only:
-        # a branch with an idle robot is dominated by its moves alone, an
-        # earlier activation (see ``_undominated``).  Sequential mode keeps
-        # the branches that activate one robot.  ``allowed`` holds, per mode,
-        # config and submask ``key`` of its move bits, the branches a table
-        # with ``tm & config_moves[cid] == key`` allows, as (successor config
-        # id << N | successor occupied-node mask, combo) in ``combos`` order:
-        # a kept branch requires move bits only, so ``key`` decides it.
+        # Per mode, config and submask ``key`` of its move bits, the branches
+        # a table with ``tm & config_moves[cid] == key`` allows, as (successor
+        # config id << N | successor occupied-node mask, combo), combo =
+        # ((node, robots activated there), ...), ((node, dest), ...).  Each
+        # config's branches are enumerated once, over move options only: a
+        # branch with an idle robot reaches what its movers alone reach, or
+        # its own state.  Each entry keeps the first allowed branch to each
+        # successor, in ``successors`` order: the visited set grows by the
+        # successor's occupied nodes alone, so a later branch reaches the
+        # state ``_search`` has already seen.  Sequential mode allows the
+        # branches that activate one robot.
         self.allowed: dict[str, list[dict[int, list]]] = {"distributed": [], "sequential": []}
         for cid, c in enumerate(self.configs):
-            moving = list(successors(c, lambda v: self.options[(cid, v)][1:]))
-            singles = [branch for branch in moving if len(branch[1]) == 1]
+            branches = []
+            for activation, outcomes, succ in successors(c, lambda v: self.options[(cid, v)][1:]):
+                succ_cid = self.config_id[succ]
+                branches.append((functools.reduce(operator.or_, (bit for _, _, bit in outcomes)),
+                                 len(outcomes) == 1, succ_cid << N | self.occ_mask[succ_cid],
+                                 (activation, tuple((v, dest) for v, dest, _ in outcomes))))
             keys = [0]
             for bit in _bits(self.config_moves[cid]):
                 keys += [key | 1 << bit for key in keys]
-            for mode, branches in (("distributed", moving), ("sequential", singles)):
-                combos = self._undominated(branches)
-                self.allowed[mode].append({
-                    key: [(succ_cid | succ_occ, combo)
-                          for req, succ_cid, succ_occ, combo in combos if req & ~key == 0]
-                    for key in keys})
+            for mode, entries in self.allowed.items():
+                entry = {}
+                for key in keys:
+                    first: dict[int, tuple] = {}
+                    for req, single, succ, combo in branches:
+                        if req & ~key == 0 and (single or mode == "distributed"):
+                            first.setdefault(succ, combo)
+                    entry[key] = list(first.items())
+                entries.append(entry)
 
         # Orbit number of every state ``cid << N | visited`` under the ring
         # symmetries: configuration and visited set are read node by node and
@@ -229,8 +233,7 @@ class _Tables:
         # Identity states: the node of each robot, for the forcing game.
         self.idstates: list[tuple[int, ...]] = list(itertools.product(range(N), repeat=K))
         self.idstate_id = {s: i for i, s in enumerate(self.idstates)}
-        self.idstate_cid = [self.config_id[tuple(s.count(v) for v in range(N))]
-                            for s in self.idstates]
+        self.idstate_cid = [self.config_id[placement(N, s)] for s in self.idstates]
         # Per config, the mask of identity states whose configuration lies in
         # its symmetry orbit: the game states a search that expands it reaches.
         self.orbit_sids = [sum(1 << sid for sid, scid in enumerate(self.idstate_cid)
@@ -265,28 +268,6 @@ class _Tables:
 
         self.initial_cid = self.config_id[(1, 1, 1, 0)]
         self.initial_mask = 0b0111
-
-    def _undominated(self, branches: list) -> list[tuple]:
-        # A branch is dropped when an earlier kept branch has the same
-        # successor configuration and a subset of its required bits.  Every
-        # table that allows the dropped branch then allows the earlier one,
-        # which reaches the same state first (the visited set grows by the
-        # successor's occupied nodes alone), so ``_search`` never takes the
-        # dropped branch and keeps the same bad state, parents and expanded.
-        combos = []
-        kept: dict[int, list[int]] = {}  # successor config id -> required bits
-        for activation, outcomes, succ in branches:
-            req = 0
-            for _, _, bit in outcomes:
-                req |= bit
-            succ_cid = self.config_id[succ]
-            reqs = kept.setdefault(succ_cid, [])
-            if any(earlier & ~req == 0 for earlier in reqs):
-                continue
-            reqs.append(req)
-            combos.append((req, succ_cid << N, self.occ_mask[succ_cid],
-                           (activation, tuple((v, dest) for v, dest, _ in outcomes))))
-        return combos
 
 
 _TABLES: Optional[_Tables] = None
@@ -705,7 +686,8 @@ def _validate_cycle(tb: _Tables, tm: int, cycle: list[dict], trap: int) -> None:
             raise ValueError(f"cycle row {j}: no robot {robot!r}")
         nxt = tuple(cycle[(j + 1) % len(cycle)]["state"])
         if row["kind"] == "activate-idle":
-            if tm & tb.node_moves[(cid, positions[robot])]:
+            _, (_, fwd_bit), (_, bwd_bit) = tb.options[(cid, positions[robot])]
+            if tm & (fwd_bit | bwd_bit):
                 raise ValueError(f"cycle row {j}: robot {robot} is not idle-only")
             if nxt != positions:
                 raise ValueError(f"cycle row {j}: idle activation changed the state")

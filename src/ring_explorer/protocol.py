@@ -81,7 +81,7 @@ def try_move_adversary() -> Decision:
 
 
 def has_four_segment(c: Configuration) -> bool:
-    return any(s.length == 4 for s in segments(c))
+    return any(length == 4 for _, length in segments(c))
 
 
 def phase(c: Configuration) -> str:

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Configuration = tuple[int, ...]
 
@@ -49,14 +49,19 @@ def format_config(c: Sequence[int]) -> str:
     return ",".join(str(v) for v in c)
 
 
+def placement(n: int, nodes: Iterable[int]) -> Configuration:
+    """The configuration of robots on the given nodes of an n-node ring, one
+    robot per listed node: a node listed m times holds a tower of m."""
+    c = [0] * n
+    for node in nodes:
+        c[node] += 1
+    return tuple(c)
+
+
 def configurations(n: int, k: int) -> Iterator[Configuration]:
     """Every configuration of k robots on n nodes, in the order
     ``combinations_with_replacement`` lists their node multisets."""
-    for nodes in combinations_with_replacement(range(n), k):
-        c = [0] * n
-        for node in nodes:
-            c[node] += 1
-        yield tuple(c)
+    return (placement(n, nodes) for nodes in combinations_with_replacement(range(n), k))
 
 
 def occupied_nodes(c: Configuration) -> tuple[int, ...]:
@@ -128,16 +133,11 @@ def canonical_direction(c: Configuration, i: int) -> Optional[int]:
 # Segments, arrows
 # ---------------------------------------------------------------------------
 
-class Segment(NamedTuple):
-    """Maximal run of occupied nodes: covers start, start+1, ..., length nodes."""
-
-    start: int
-    length: int
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def segments(c: Configuration) -> tuple[Segment, ...]:
-    """All maximal occupied runs, in ring order from the first free node."""
+def segments(c: Configuration) -> tuple[tuple[int, int], ...]:
+    """All maximal occupied runs, in ring order from the first free node, as
+    ``(start, length)`` pairs: the run covers nodes start, start+1, ...,
+    length nodes in all."""
     if not any(c):
         return ()
     if 0 not in c:
@@ -151,7 +151,7 @@ def segments(c: Configuration) -> tuple[Segment, ...]:
             if start is None:
                 start = j
         elif start is not None:
-            out.append(Segment(start % n, j - start))
+            out.append((start % n, j - start))
             start = None
     return tuple(out)
 

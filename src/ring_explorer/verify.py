@@ -37,6 +37,7 @@ from .ring import (
     format_config,
     is_towerless,
     occupied_nodes,
+    placement,
     segments,
 )
 
@@ -86,13 +87,6 @@ def _protocol_options(c: Configuration, decide: DecideFn) -> OptionsFn:
     return options
 
 
-def _towerless(n: int, nodes: tuple[int, ...]) -> Configuration:
-    c = [0] * n
-    for i in nodes:
-        c[i] = 1
-    return tuple(c)
-
-
 def _arrow_config(n: int, tower: int, orientation: int, size: int) -> Configuration:
     c = [0] * n
     c[tower] = 2
@@ -117,7 +111,7 @@ def successor_rule(before: Configuration) -> Callable[[Configuration], bool]:
     n = len(before)
     allowed = {before}
     if kind == "four-segment":
-        start = next(s.start for s in segments(before) if s.length == 4)
+        start = next(start for start, length in segments(before) if length == 4)
         allowed |= {_arrow_config(n, (start + 1) % n, -1, 1),
                     _arrow_config(n, (start + 2) % n, 1, 1)}
     elif kind == "arrow":
@@ -212,7 +206,7 @@ def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) 
     its ``successor_rule``."""
     base = comb(n, PROTOCOL_K)
     skipped = set(_four_segments(n))
-    scatters = ((_towerless(n, nodes), is_towerless)
+    scatters = ((placement(n, nodes), is_towerless)
                 for nodes in combinations(range(n), PROTOCOL_K) if nodes not in skipped)
     report, checked = _check_successors("no-tower-after-one-step", n, scatters, decide)
     report.details = {
@@ -229,7 +223,7 @@ def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) 
     the primary arrow on the same four nodes.  Exhaustive over placements,
     activations, and coin vectors: each distinct successor is tested once,
     and ``instances_checked`` counts the branches."""
-    placements = (_towerless(n, nodes) for nodes in _four_segments(n))
+    placements = (placement(n, nodes) for nodes in _four_segments(n))
     report, count = _check_successors("four-segment-successors", n,
                                       ((c, successor_rule.__wrapped__(c)) for c in placements),
                                       decide)

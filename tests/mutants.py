@@ -27,10 +27,20 @@ def _free_runs(c, i):
 def shortest_hole_mutant(c, i):
     """Gathering fault: with four isolated robots, everyone dives into its
     shortest neighboring hole (possibly of length 1)."""
-    if is_towerless(c) and sorted(s.length for s in segments(c)) == [1, 1, 1, 1]:
+    if is_towerless(c) and sorted(length for _, length in segments(c)) == [1, 1, 1, 1]:
         if c[i]:
             _, step = min(_free_runs(c, i), key=lambda run: run[0])
             return protocol.try_move((i + step) % len(c))
+    return protocol.decide(c, i)
+
+
+def stuck_scatter_mutant(c, i):
+    """Termination fault: in a scatter of one 2-segment and two lone robots,
+    every robot idles, so a run that reaches one stops there.  No step
+    makes a tower, so every one-step check passes."""
+    if c[i] and protocol.phase(c) == "scatter":
+        if sorted(length for _, length in segments(c)) == [1, 1, 2]:
+            return protocol.idle()
     return protocol.decide(c, i)
 
 

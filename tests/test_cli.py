@@ -131,6 +131,20 @@ def test_stdout_byte_identical_across_runs(capsys, argv):
     assert first and first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "9", "--initial", "1,0,2,1,0,0,0,0,0", "--seed", "7"),
+    ("campaign", "--n", "9", "--trials", "5", "--seed", "1"),
+    ("verify", "--n", "9", "--traces", "2", "--seed", "2"),
+    ("count", "--k", "3", "--n", "4", "--n-max", "9"),
+    ("impossible", "--mode", "sequential"),
+], ids=lambda argv: argv[0])
+def test_output_file_holds_what_stdout_gets(capsys, tmp_path, argv):
+    code, out = run_cli(capsys, *argv)
+    path = tmp_path / "payload"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (code, "")
+    assert path.read_bytes() == out.encode()
+
+
 # Above ``sys.maxsize``: a ring size or robot count this large cannot size a
 # sequence, so it is a usage error rather than an OverflowError traceback.
 HUGE = "99999999999999999999"
@@ -145,6 +159,7 @@ HUGE = "99999999999999999999"
     ("simulate", "--n", "9", "--initial", "1,1,x"),
     ("verify", "--traces", "-1"),
     ("simulate", "--n", "8"),
+    ("simulate", "--n", "x"),
     ("campaign", "--n", "8"),
     ("verify", "--n", "8"),
     ("simulate", "--n", "9", "--initial", "0,0,0,0,0,0,0,0,4"),
@@ -160,7 +175,7 @@ HUGE = "99999999999999999999"
     ("count", "--k", str(sys.maxsize + 1)),
 ], ids=["trials-0", "max-steps-negative", "count-n-2", "count-k-negative",
         "initial-negative", "initial-not-int", "traces-negative",
-        "simulate-n-8", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
+        "simulate-n-8", "simulate-n-not-int", "campaign-n-8", "verify-n-8", "initial-tower-outside-arrow",
         "initial-three-robots", "initial-ring-size-differs", "count-n-max-below-n",
         "simulate-n-huge", "campaign-n-huge", "verify-n-huge", "count-n-huge",
         "count-n-max-huge", "count-k-huge", "count-k-above-maxsize"])

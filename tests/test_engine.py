@@ -547,6 +547,13 @@ class TestRun:
         assert trace.steps[0].adversary_edges == {3: 5}
         assert not trace.terminated  # script exhausted before terminal
 
+    def test_scripted_edge_must_be_an_option(self):
+        # Robot 3 on node 6 may cross to node 5 or node 7 only.
+        c = (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)
+        policy = SchedulerPolicy("scripted", script=((3,),))
+        with pytest.raises(SchedulerError, match=r"scripted edge 4 not among options \(5, 7\)"):
+            run(c, policy, seed=0, adversary=ScriptedAdversary([4]))
+
     def test_adversary_answer_must_be_an_integer(self):
         # A float equal to an incident node is no edge: ValueError, not a
         # TypeError from the count update.

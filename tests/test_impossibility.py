@@ -1,6 +1,7 @@
 """Support-level refutation of three-robot protocols on the four-node ring."""
 
 import copy
+import hashlib
 import itertools
 import json
 import random
@@ -33,6 +34,9 @@ def all_view_pairs_oracle():
 def classes():
     return imp.enumerate_view_classes()
 
+
+# ``_Tables.allowed``, every mode, configuration and key, as its repr.
+ALLOWED_SHA256 = "be6da138b463c64074b54defe27848d3d94b1d290063dfc59061a669303603e8"
 
 # Every table, at its index in the enumeration.
 TABLES = list(imp.enumerate_protocols(imp.enumerate_view_classes()))
@@ -533,6 +537,119 @@ class TestCertificateValidation:
         with pytest.raises(ValueError, match=message):
             imp.validate_certificate(table, imp.Certificate(kind, witness), "sequential")
 
+    @pytest.mark.parametrize("forgery, message", [
+        ("no-witness", "no witness to validate"),
+        ("unknown-kind", "unknown certificate kind 'bogus'"),
+        ("outcome-off-the-options", "3 is not an outcome of a robot on node 1"),
+        ("empty-activation", "step 0: empty activation"),
+        ("two-robots-in-sequential-mode", "step 0: non-singleton activation in sequential"),
+        ("activation-beyond-the-node", "step 0: activates more robots than node 3 holds"),
+        ("path-successor", "step 0: successor mismatch"),
+        ("path-visited", "step 0: visited-set mismatch"),
+        ("terminal-with-a-move", "claimed terminal state is not terminal"),
+        ("terminal-with-full-coverage", "claimed bad terminal has full coverage"),
+        ("entry-path-elsewhere", "entry path does not reach the trap entry class"),
+    ])
+    def test_forged_path_rejected(self, classes, forgery, message):
+        # A real certificate with one path step or field forged: table 63's
+        # bad terminal in sequential mode, table 66's forcing trap, or a hand
+        # path; ``validate_certificate`` raises exactly the message asked.
+        mode = "sequential"
+        table = TABLES[63]
+        witness = copy.deepcopy(imp.refute(table, mode).witness)
+        step = witness["path"][0]  # robot 1 moves from node 1 to node 0
+        kind = imp.BAD_TERMINAL
+        if forgery == "no-witness":
+            witness = None
+        elif forgery == "unknown-kind":
+            kind = "bogus"
+        elif forgery == "outcome-off-the-options":
+            step["outcomes"][0]["to"] = 3
+        elif forgery == "empty-activation":
+            step["activation"] = {}
+        elif forgery == "two-robots-in-sequential-mode":
+            step["activation"] = {0: 1, 1: 1}
+        elif forgery == "activation-beyond-the-node":
+            step["activation"] = {3: 1}
+        elif forgery == "path-successor":
+            witness["path"][1]["config"] = [1, 2, 0, 0]
+        elif forgery == "path-visited":
+            witness["path"][1]["visited"] = [0, 1, 2, 3]
+        elif forgery == "terminal-with-a-move":
+            # The path cut after its first state, which has a move.
+            witness["path"] = [step | {"activation": None, "outcomes": None}]
+        elif forgery == "terminal-with-full-coverage":
+            # A scatter side steps onto the middle, then the single next to
+            # the tower escapes to node 3: a terminal state with every node
+            # visited, under a table with no bad terminal in sequential mode.
+            table = named_table(classes, scatter_side=BWD, pair_single=FWD)
+            witness["path"] = [
+                {"config": [1, 1, 1, 0], "visited": [0, 1, 2], "activation": {0: 1},
+                 "outcomes": [{"node": 0, "to": 1}]},
+                {"config": [0, 2, 1, 0], "visited": [0, 1, 2], "activation": {2: 1},
+                 "outcomes": [{"node": 2, "to": 3}]},
+                {"config": [0, 2, 0, 1], "visited": [0, 1, 2, 3], "activation": None,
+                 "outcomes": None},
+            ]
+        else:
+            # Table 66's trap lies in the class of [2, 0, 1, 0], not the start's.
+            table = TABLES[66]
+            kind, witness = imp.FORCING, copy.deepcopy(imp.refute(table, mode).witness)
+            start = witness["entry_path"][0]
+            witness["entry_path"] = [start | {"activation": None, "outcomes": None}]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            imp.validate_certificate(table, imp.Certificate(kind, witness), mode)
+
+    @pytest.mark.parametrize("index, mode, forgery, message", [
+        (370, "sequential", "empty", "empty forcing cycle"),
+        (370, "sequential", "state-outside-the-trap", "cycle row 0: state not in declared trap"),
+        (12516, "distributed", "idle-with-a-move", "cycle row 0: robot 1 is not idle-only"),
+        (66, "sequential", "idle-that-moves", "cycle row 1: idle activation changed the state"),
+        (12516, "distributed", "mover-off-its-node", "cycle row 0: robot 1 is not on node 2"),
+        (12516, "distributed", "move-outside-the-support",
+         "cycle row 0: forced move not in support"),
+        (12516, "distributed", "cycle-successor", "cycle row 0: successor mismatch"),
+        (297, "sequential", "alternative-outside-the-trap",
+         "cycle row 9: alternative branch leaves the trap"),
+        (12516, "distributed", "one-robot-serviced", "cycle services only robots [1]"),
+    ])
+    def test_forged_cycle_rejected(self, classes, index, mode, forgery, message):
+        # A real forcing certificate with its cycle, or one trap state, forged.
+        table = TABLES[index]
+        witness = copy.deepcopy(imp.refute(table, mode).witness)
+        cycle = witness["cycle"]
+        if forgery == "empty":
+            cycle.clear()
+        elif forgery == "state-outside-the-trap":
+            outside = next(list(s) for s in itertools.product(range(4), repeat=3)
+                           if list(s) not in witness["trap_states"])
+            cycle[0]["state"] = outside
+        elif forgery == "idle-with-a-move":
+            cycle[0]["kind"] = "activate-idle"  # robot 1 is forced from [0, 0, 1]
+        elif forgery == "idle-that-moves":
+            # Row 1 activates idle robot 1 of [3, 0, 2]; the next row moves on.
+            assert cycle[1]["kind"] == "activate-idle"
+            cycle[2]["state"] = [0, 0, 2]
+        elif forgery == "mover-off-its-node":
+            cycle[0]["move"] = [2, 3]
+        elif forgery == "move-outside-the-support":
+            cycle[0]["move"] = [0, 3]  # the support moves it to node 1 only
+        elif forgery == "cycle-successor":
+            cycle[1]["state"] = cycle[0]["state"]
+        elif forgery == "alternative-outside-the-trap":
+            # Still closed and fair without [2, 1, 2], which row 9's mover may
+            # pick instead of the move the row shows.
+            assert cycle[9]["alternative_moves"] == [[1, 2]]
+            witness["trap_states"].remove([2, 1, 2])
+            witness["trap_size"] -= 1
+        else:
+            # Robot 1 bounces between the tower and the single node forever.
+            back = {"state": [0, 1, 1], "config": [1, 2, 0, 0], "kind": "force", "robot": 1,
+                    "move": [1, 0]}
+            witness["cycle"] = [cycle[0], back]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            imp.validate_certificate(table, imp.Certificate(imp.FORCING, witness), mode)
+
     @pytest.mark.parametrize("index, mode, kind", [
         (74, "distributed", imp.BAD_TERMINAL),
         (75, "distributed", imp.FORCING),
@@ -605,31 +722,43 @@ def dihedral_images(config, mask):
     return images
 
 
-def kept_branches(tb, mode):
-    """Per configuration id, the kept branches ``_Tables`` builds its
-    ``allowed`` table from, rebuilt through ``_Tables._undominated``: the
-    move-only branches of ``engine.successors``, those with one outcome in
-    sequential mode, less the dominated ones."""
+def occupied_mask(c):
+    return sum(1 << v for v, count in enumerate(c) if count)
+
+
+def move_branches(tb, mode):
+    """Per configuration id, every branch of ``engine.successors`` over the
+    move options alone, those with one outcome in sequential mode, in order,
+    as (required element bits, successor config id << N | successor
+    occupied-node mask, combo)."""
     out = []
     for cid, c in enumerate(tb.configs):
-        moving = list(engine.successors(c, lambda v, cid=cid: tb.options[(cid, v)][1:]))
-        if mode == "sequential":
-            moving = [branch for branch in moving if len(branch[1]) == 1]
-        out.append(tb._undominated(moving))
+        rows = []
+        for activation, outcomes, succ in engine.successors(
+                c, lambda v, cid=cid: tb.options[(cid, v)][1:]):
+            if mode == "sequential" and len(outcomes) != 1:
+                continue
+            req = 0
+            for _, _, bit in outcomes:
+                req |= bit
+            rows.append((req, tb.config_id[succ] << imp.N | occupied_mask(succ),
+                         (activation, tuple((v, dest) for v, dest, _ in outcomes))))
+        out.append(rows)
     return out
 
 
 def reachable_states(tb, tm, branches):
     """Every (config id, visited mask) state a plain BFS over concrete states,
     without any quotient, reaches from the initial state under the table,
-    over the kept ``branches`` per configuration id."""
+    over the move ``branches`` per configuration id."""
+    full = (1 << imp.N) - 1
     start = (tb.initial_cid, tb.initial_mask)
     reached = {start}
     queue = [start]
     while queue:
         cid, mask = queue.pop()
-        for req, succ_cid, succ_occ, _ in branches[cid]:
-            succ = (succ_cid >> imp.N, mask | succ_occ)
+        for req, succ_base, _ in branches[cid]:
+            succ = (succ_base >> imp.N, mask | succ_base & full)
             if not req & ~tm and succ not in reached:
                 reached.add(succ)
                 queue.append(succ)
@@ -653,7 +782,7 @@ class TestSymmetryClosure:
         # A plain BFS over concrete states, without any quotient, reaches the
         # same orbits as the search, which keeps one state of each.
         tb = imp._tables()
-        branches = kept_branches(tb, mode)
+        branches = move_branches(tb, mode)
 
         def orbit(state):
             cid, mask = state
@@ -675,9 +804,8 @@ class TestSymmetryClosure:
 def unpruned_branches(tb, mode):
     """Per configuration id, every branch that moves a robot, in
     ``engine.successors`` order over the full options, idle included, as
-    (required element bits, successor config id, combo): the branch list
-    before dominated branches are dropped.  Sequential mode keeps the
-    branches that activate one robot."""
+    (required element bits, successor config id, combo).  Sequential mode
+    keeps the branches that activate one robot."""
     out = []
     for cid, c in enumerate(tb.configs):
         rows = []
@@ -713,8 +841,7 @@ def reference_search(tb, tm, branches):
         if not allowed and visited != full:
             return state, parents, expanded
         for succ_cid, combo in allowed:
-            occupied = sum(1 << v for v, count in enumerate(tb.configs[succ_cid]) if count)
-            succ = succ_cid << imp.N | visited | occupied
+            succ = succ_cid << imp.N | visited | occupied_mask(tb.configs[succ_cid])
             if tb.orbit[succ] not in seen:
                 seen.add(tb.orbit[succ])
                 parents[succ] = (state, combo)
@@ -722,30 +849,14 @@ def reference_search(tb, tm, branches):
     return None, parents, expanded
 
 
-class TestDominatedBranches:
-    @pytest.mark.parametrize("mode, kept, total", [("distributed", 280, 696),
-                                                   ("sequential", 80, 80)])
-    def test_kept_branch_counts(self, mode, kept, total):
+class TestUnprunedSearch:
+    @pytest.mark.parametrize("mode, moving, total", [("distributed", 344, 696),
+                                                     ("sequential", 80, 80)])
+    def test_branch_counts(self, mode, moving, total):
+        # Every branch that moves a robot, and those without an idle robot.
         tb = imp._tables()
         assert sum(map(len, unpruned_branches(tb, mode))) == total
-        assert sum(map(len, kept_branches(tb, mode))) == kept
-
-    @pytest.mark.parametrize("mode", ["distributed", "sequential"])
-    def test_only_dominated_branches_are_dropped(self, mode):
-        # The kept branches are the unpruned list in order, less exactly the
-        # branches that an earlier kept branch dominates: same successor, and
-        # a subset of the required bits.
-        tb = imp._tables()
-        combos = kept_branches(tb, mode)
-        for cid, rows in enumerate(unpruned_branches(tb, mode)):
-            kept = []
-            for req, succ_cid, combo in rows:
-                if not any(k_succ == succ_cid and k_req & ~req == 0 for k_req, k_succ, _ in kept):
-                    kept.append((req, succ_cid, combo))
-            got = [(req, succ >> imp.N, combo) for req, succ, _, combo in combos[cid]]
-            assert got == kept, tb.configs[cid]
-            for req, succ, occupied, _ in combos[cid]:
-                assert occupied == sum(1 << v for v, n in enumerate(tb.configs[succ >> imp.N]) if n)
+        assert sum(map(len, move_branches(tb, mode))) == moving
 
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_search_matches_unpruned_bfs(self, classes, mode):
@@ -772,23 +883,36 @@ def submasks(mask):
 
 class TestAllowedBranches:
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
-    def test_memo_is_the_kept_combos_filtered_by_the_key(self, mode):
+    def test_each_key_keeps_the_first_branch_to_each_successor(self, mode):
         # The keys are exactly the ones a table can have at a configuration:
-        # the submasks of its move bits.  Each entry is the kept branches the
-        # key allows, in order; a kept branch needs move bits only, so the key
-        # decides it.  An entry is empty exactly when its key is 0, where the
-        # table gives the configuration no move.
+        # the submasks of its move bits.  Each entry holds, in order, the
+        # first branch the key allows to each successor; a move branch needs
+        # move bits only, so the key decides it.  An entry is empty exactly
+        # when its key is 0, where the table gives the configuration no move.
         tb = imp._Tables()
-        for cid, rows in enumerate(kept_branches(tb, mode)):
+        for cid, rows in enumerate(move_branches(tb, mode)):
             moves = tb.config_moves[cid]
-            assert all(req & ~moves == 0 for req, _, _, _ in rows), tb.configs[cid]
+            assert all(req & ~moves == 0 for req, _, _ in rows), tb.configs[cid]
             entries = tb.allowed[mode][cid]
             assert sorted(entries) == sorted(submasks(moves)), tb.configs[cid]
             for key, branches in entries.items():
-                expected = [(succ_cid | succ_occ, combo)
-                            for req, succ_cid, succ_occ, combo in rows if req & ~key == 0]
+                expected, reached = [], set()
+                for req, succ, combo in rows:
+                    if req & ~key == 0 and succ not in reached:
+                        reached.add(succ)
+                        expected.append((succ, combo))
                 assert branches == expected, (tb.configs[cid], key)
                 assert bool(branches) == bool(key)
+
+    def test_entries_pinned(self):
+        # 184 keys per mode; 976 distributed and 392 sequential branches.
+        tb = imp._Tables()
+        counts = {mode: (sum(map(len, entries)),
+                         sum(len(branches) for entry in entries for branches in entry.values()))
+                  for mode, entries in tb.allowed.items()}
+        assert counts == {"distributed": (184, 976), "sequential": (184, 392)}
+        digest = hashlib.sha256(repr(tb.allowed).encode()).hexdigest()
+        assert digest == ALLOWED_SHA256
 
     def test_search_does_not_depend_on_table_order(self, classes, monkeypatch):
         # A search reads the table alone: the tables refuted before it, in
@@ -858,7 +982,7 @@ class TestForcingGame:
         # The game starts from the identity states of every reachable
         # configuration, as the search leaves them.
         tb = imp._tables()
-        branches = kept_branches(tb, mode)
+        branches = move_branches(tb, mode)
         checked = 0
         for index in range(0, imp.protocol_space_size(classes), 250):
             table = TABLES[index]

@@ -282,7 +282,7 @@ class TestAnonymity:
         # node and no two movers share a target.
         n = 9
         for c in towerless_configs(n):
-            if any(s.length == 4 for s in segments(c)):
+            if any(length == 4 for _, length in segments(c)):
                 continue
             targets = []
             for i in range(n):

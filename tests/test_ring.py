@@ -46,6 +46,26 @@ class TestAsConfig:
         assert ring.as_config([True, 1, 0]) == (1, 1, 0)
         assert ring.parse_config(" 1,0, 2") == (1, 0, 2)
 
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            ring.as_config([1, 0])
+
+
+class TestPlacement:
+    def test_repeats_stack(self):
+        assert ring.placement(5, [3, 0, 3]) == (1, 0, 0, 2, 0)
+        assert ring.placement(4, ()) == (0, 0, 0, 0)
+
+    def test_configurations_are_the_placements_of_node_multisets(self):
+        # One configuration per multiset, in multiset order: the count of
+        # each node in the multiset is its multiplicity.
+        for n in range(3, 8):
+            for k in range(5):
+                multisets = itertools.combinations_with_replacement(range(n), k)
+                expected = [tuple(nodes.count(v) for v in range(n)) for nodes in multisets]
+                assert list(ring.configurations(n, k)) == expected
+                assert len(expected) == comb(n + k - 1, k)
+
 
 class TestRotateMirror:
     def test_rotate_identity(self):
@@ -140,6 +160,11 @@ class TestView:
     def test_asymmetric_view(self):
         assert view_of((2, 1, 0, 0), 1) == ((1, 0, 0, 2), (1, 2, 0, 0))
 
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_node_out_of_range_rejected(self, i):
+        with pytest.raises(ValueError, match=f"node index {i} out of range for n=4"):
+            view_of((1, 1, 1, 0), i)
+
     @given(configs, st.integers(min_value=0, max_value=11))
     def test_starts_at_observer(self, c, i):
         i %= len(c)
@@ -164,12 +189,11 @@ class TestView:
 class TestSegmentsHoles:
     def test_hand_scan(self):
         c = (1, 1, 1, 0, 0, 1, 0, 0, 0)
-        segs = {(s.start, s.length) for s in segments(c)}
-        assert segs == {(0, 3), (5, 1)}
+        assert segments(c) == ((5, 1), (0, 3))
 
     def test_alternation(self):
         c = (1, 0, 1, 0)
-        assert sorted(s.length for s in segments(c)) == [1, 1]
+        assert sorted(length for _, length in segments(c)) == [1, 1]
 
     def test_all_free(self):
         assert segments((0, 0, 0, 0)) == ()
@@ -208,7 +232,7 @@ def per_node_runs(c):
 
 def run_scan_result(f, c):
     try:
-        return tuple(tuple(run) for run in f(c))
+        return f(c)
     except ValueError as exc:
         return ("ValueError", str(exc))
 

@@ -25,7 +25,7 @@ from ring_explorer.verify import (
 )
 
 from mutants import (final_mover_mutant, flipped_tail_mutant, gap_filler_mutant,
-                     idle_tail_mutant, shortest_hole_mutant)
+                     idle_tail_mutant, shortest_hole_mutant, stuck_scatter_mutant)
 
 DECIDERS = [protocol.decide, shortest_hole_mutant, gap_filler_mutant, flipped_tail_mutant,
             idle_tail_mutant, final_mover_mutant]
@@ -143,7 +143,7 @@ class TestScatterEnumeration:
     @pytest.mark.parametrize("n", range(9, 21))
     def test_four_segments_in_start_order(self, n):
         four = [c for c in towerless_configs(n) if protocol.phase(c) == "four-segment"]
-        four.sort(key=lambda c: next(s.start for s in segments(c) if s.length == 4))
+        four.sort(key=lambda c: next(start for start, length in segments(c) if length == 4))
         assert verify._four_segments(n) == [occupied_nodes(c) for c in four]
         assert len(four) == n
 
@@ -168,6 +168,10 @@ class TestPhase3Monotone:
         report = check_phase3_monotone(n)
         assert report.passed
         assert report.details["tail_moves_to_terminal"] == moves
+
+    def test_below_the_domain_rejected(self):
+        with pytest.raises(ValueError, match="protocol domain starts at n=9"):
+            check_phase3_monotone(8)
 
 
 def test_one_step_checks_leave_the_monitor_memo_alone():
@@ -354,6 +358,14 @@ class TestRunInvariants:
         with pytest.raises(InvariantViolation):
             check_run_invariants(trace)
 
+    def test_invalid_initial_caught(self):
+        # Two towers: outside the protocol's domain before any step.
+        c = (2, 0, 2, 0, 0, 0, 0, 0, 0)
+        trace = Trace(n=9, k=4, policy="scripted", seed=None, initial=c, steps=[],
+                      visited=frozenset(), terminated=True)
+        with pytest.raises(InvariantViolation, match=r"initial configuration invalid: \(2, 0, 2,"):
+            check_run_invariants(trace)
+
 
     @pytest.mark.parametrize("before, after", [
         ("1,0,2,1,0,0,0,0,0", "0,0,1,0,0,2,1,0,0"),
@@ -405,6 +417,10 @@ class TestCampaign:
         stats = campaign(9, 25, SchedulerPolicy("round-robin"), seed=7)
         assert stats.terminated_count == 25
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            campaign(9, 0, SchedulerPolicy("random-subset"), seed=0)
+
     def test_zero_budget_counts_nothing(self):
         stats = campaign(9, 1, SchedulerPolicy("random-subset"), seed=0, max_steps=0)
         assert stats.terminated_count == 0
@@ -434,6 +450,21 @@ class TestFaultInjection:
         report = check_no_tower_one_step(9, decide=gap_filler_mutant)
         assert len(report.violations) == 438
         assert all(sum(v["activation"].values()) >= 2 for v in report.violations)
+
+    def test_stuck_scatter_mutant_passes_every_one_step_check(self):
+        # No step makes a tower or breaks an arrow: only a whole-run check
+        # can tell that a run stops in a scatter.
+        reports = [check(9, decide=stuck_scatter_mutant) for check in
+                   (check_no_tower_one_step, check_four_segment_step, check_phase3_monotone)]
+        assert [(r.passed, r.instances_checked) for r in reports] == \
+            [(True, 2115), (True, 315), (True, 108)]
+
+    @pytest.mark.parametrize("policy", ["round-robin", "random-subset", "sequential-random"])
+    def test_stuck_scatter_mutant_breaks_campaign(self, policy):
+        # A run that reaches a {2, 1, 1} scatter terminates there, and the
+        # monitor rejects the terminal shape.
+        with pytest.raises(InvariantViolation, match="^terminated in non-terminal shape scatter$"):
+            campaign(9, 50, SchedulerPolicy(policy), seed=1, decide=stuck_scatter_mutant)
 
     def test_flipped_tail_mutant_breaks_campaign(self):
         with pytest.raises((InvariantViolation, protocol.ProtocolError)):
