@@ -883,9 +883,9 @@ def submasks(mask):
 
 class TestAllowedBranches:
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
-    def test_each_key_keeps_the_first_branch_to_each_successor(self, mode):
+    def test_memo_is_the_kept_combos_filtered_by_the_key(self, mode):
         # The keys are exactly the ones a table can have at a configuration:
-        # the submasks of its move bits.  Each entry holds, in order, the
+        # the submasks of its move bits.  Each entry keeps, in order, the
         # first branch the key allows to each successor; a move branch needs
         # move bits only, so the key decides it.  An entry is empty exactly
         # when its key is 0, where the table gives the configuration no move.
