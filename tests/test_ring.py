@@ -133,7 +133,21 @@ class TestCanonicalForm:
 
     @given(configs)
     def test_member_of_class(self, c):
-        assert canonical_form(c) in orbit(c)
+        assert canonical_form(c) == min(orbit(c))
+
+    def test_least_of_all_readings_exhaustive(self):
+        # The least of all 2n readings, not just a member of the orbit: every
+        # configuration of 0..5 robots on 3..12 nodes, then every tuple of
+        # range(4) ** n for n = 1..7 (no zero, all equal, 2c + visited keys).
+        # The uncached function, so the sweep leaves the memo alone.
+        inputs = itertools.chain(
+            (c for n in range(3, 13) for k in range(6) for c in ring.configurations(n, k)),
+            (c for n in range(1, 8) for c in itertools.product(range(4), repeat=n)))
+        count = 0
+        for c in inputs:
+            assert canonical_form.__wrapped__(c) == min(orbit(c)), c
+            count += 1
+        assert count == 40380
 
     def test_class_count_matches_partition_oracle(self):
         # Brute-force partition of all towerless n=9, k=4 configurations into
