@@ -76,29 +76,37 @@ def is_towerless(c: Configuration) -> bool:
 # Symmetries
 # ---------------------------------------------------------------------------
 
-def rotate(c: Configuration, i: int) -> Configuration:
-    """Rotation: node j of the result reads node j+i of the input."""
-    n = len(c)
-    i %= n
-    return c[i:] + c[:i]
-
-
-def mirror(c: Configuration) -> Configuration:
-    """Reversal about node 0; an involution."""
-    n = len(c)
-    return tuple(c[(n - j) % n] for j in range(n))
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical_form(c: Configuration) -> Configuration:
-    """Lexicographically smallest rotation of c or of its mirror.
+    """Lexicographically smallest rotation of c or of its reversal.
 
     Equal canonical forms characterize indistinguishability, so this is the
     representative to key sets and maps by.
+
+    Only the readings that open on a longest cyclic run of the least value
+    are compared.  A reading that opens anywhere else reads fewer leading
+    least values, so it is larger where the two first differ.  A run between
+    two consecutive nodes a and b that hold more than the least value is read
+    forward from node a + 1 and backward from node b - 1.
     """
     n = len(c)
-    m = mirror(c)
-    return min(min(rotate(c, i) for i in range(n)), min(rotate(m, i) for i in range(n)))
+    low = min(c)
+    high = list(compress(range(n), [v != low for v in c]))
+    if not high:
+        return c
+    # Node high[j] closes the run that opens one node past opens[j].
+    opens = [high[-1] - n, *high]
+    cc = c + c
+    rr = cc[::-1]  # rr[n - b:] reads node b - 1, b - 2, ...
+    steps = list(map(operator.sub, high, opens))
+    longest = max(steps)
+    readings = []
+    for a, b, step in zip(opens, high, steps):
+        if step == longest:
+            a = (a + 1) % n
+            readings.append(cc[a:a + n])
+            readings.append(rr[n - b:2 * n - b])
+    return min(readings)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,23 @@ def test_verify_n20_stdout_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N20_SHA256
 
 
+# SHA-256 of the stdout of ``count --k <k> --n 4 --n-max <n_max>``: the
+# number of pairwise-distinguishable small-tower classes per ring size, every
+# one read through ``canonical_form``.
+COUNT_SHA256 = {
+    (3, 24): "6b5da06b8821c7ca5f5a4d9d4ccb0a6968e7226f77ac7818a4b599ce03a607fa",
+    (4, 16): "6cb81029d1f05309a631411bf241a7d774d079d973fb50ddd2b534f3e1fb2de8",
+}
+
+
+@pytest.mark.parametrize("k,n_max", sorted(COUNT_SHA256))
+def test_count_stdout_pinned(capsys, k, n_max):
+    code = main(["count", "--k", str(k), "--n", "4", "--n-max", str(n_max)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SHA256[(k, n_max)]
+
+
 # SHA-256 over every trial and step of ``trial_runs(15, 500, policy, 42)``,
 # the size of the benchmark's campaign: per trial, the trial seed, initial
 # configuration, verdict and sorted visited nodes, then every step record as

@@ -14,8 +14,6 @@ from ring_explorer.ring import (
     canonical_direction,
     canonical_form,
     find_arrow,
-    mirror,
-    rotate,
     segments,
     view_of,
 )
@@ -26,6 +24,19 @@ configs = st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=1
 def indistinguishable(a, b):
     """Indistinguishability as the package keys it: equal canonical forms."""
     return canonical_form(a) == canonical_form(b)
+
+
+def rotate(c, i):
+    """Rotation: node j of the result reads node j+i of the input."""
+    n = len(c)
+    i %= n
+    return c[i:] + c[:i]
+
+
+def mirror(c):
+    """Reversal about node 0; an involution."""
+    n = len(c)
+    return tuple(c[(n - j) % n] for j in range(n))
 
 
 def orbit(c):

@@ -432,6 +432,20 @@ class TestCampaign:
         assert payload["trials"] == 5
         assert payload["policy"] == "random-subset"
 
+    def test_failed_bounds_name_the_trial_seed(self, monkeypatch):
+        # The protocol's runs never fail the bounds, so a stand-in report that
+        # fails reaches the raise: on the first sequential run, naming its
+        # trial seed.  A run that is not sequential is never checked.
+        failing = CheckReport("stand-in", violations=["too short"])
+        monkeypatch.setattr(verify, "check_mrp_bounds", lambda trace: failing)
+        policy = SchedulerPolicy("round-robin")
+        first_seed, trace = next(verify.trial_runs(9, 1, policy, 7))
+        assert trace.terminated
+        with pytest.raises(InvariantViolation,
+                           match=rf"^MRP bounds violated on seed {first_seed}: \['too short'\]$"):
+            campaign(9, 3, policy, seed=7)
+        assert campaign(9, 3, SchedulerPolicy("random-subset"), seed=7).terminated_count == 3
+
 
 # ---------------------------------------------------------------------------
 # Deliberate protocol mutations (guards against vacuous checkers)
