@@ -367,6 +367,22 @@ class TestStepPlanOracle:
             if edges:
                 assert reference[0] == (SchedulerError, "scripted adversary exhausted")
 
+    # Random starts almost never reach a symmetric view.  In the first start
+    # every robot tries to move and the adversary picks its edge; in the
+    # second, node 6 moves and the adversary picks its edge.
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=lambda p: p.mode)
+    @pytest.mark.parametrize("initial", [(1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0),
+                                         (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)])
+    def test_symmetric_start(self, policy, initial):
+        for seed in range(4):
+            ours, reference = both_runs(initial, policy, seed)
+            assert ours == reference
+            steps, _, terminated = ours[0]
+            assert terminated
+            assert any(s.adversary_edges for s in steps)
+            if protocol.decide(initial, 0).kind == protocol.TRY_MOVE:  # a coin goes first
+                assert any(s.coins.keys() & s.adversary_edges.keys() for s in steps)
+
     def test_plans_do_not_leak_between_decide_functions(self):
         initial = sample_towerless(12, 4, random.Random(5))
         policy = SchedulerPolicy("random-subset")
