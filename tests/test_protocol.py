@@ -298,7 +298,7 @@ class TestAnonymity:
             assert len(targets) == len(set(targets))
 
 
-class TestRepresentativeMemo:
+class TestDecisionMemos:
     """``decide``'s memos: the map of the last snapshot, kept by identity,
     and the towerless movers, kept per hole vector; the rules run directly
     on the snapshot are the oracle."""
