@@ -26,23 +26,9 @@ def indistinguishable(a, b):
     return canonical_form(a) == canonical_form(b)
 
 
-def rotate(c, i):
-    """Rotation: node j of the result reads node j+i of the input."""
-    n = len(c)
-    i %= n
-    return c[i:] + c[:i]
-
-
-def mirror(c):
-    """Reversal about node 0; an involution."""
-    n = len(c)
-    return tuple(c[(n - j) % n] for j in range(n))
-
-
 def orbit(c):
-    n = len(c)
-    m = mirror(c)
-    return {rotate(c, i) for i in range(n)} | {rotate(m, i) for i in range(n)}
+    """Every rotation of ``c`` and of its reversal: the 2n readings."""
+    return {r[i:] + r[:i] for r in (c, c[::-1]) for i in range(len(c))}
 
 
 class TestAsConfig:
@@ -76,41 +62,6 @@ class TestPlacement:
                 expected = [tuple(nodes.count(v) for v in range(n)) for nodes in multisets]
                 assert list(ring.configurations(n, k)) == expected
                 assert len(expected) == comb(n + k - 1, k)
-
-
-class TestRotateMirror:
-    def test_rotate_identity(self):
-        assert rotate((1, 1, 1, 0), 0) == (1, 1, 1, 0)
-
-    def test_rotate_shift(self):
-        assert rotate((2, 1, 0, 0), 1) == (1, 0, 0, 2)
-
-    def test_mirror_examples(self):
-        assert mirror((1, 1, 1, 0)) == (1, 0, 1, 1)
-        assert mirror((2, 0, 1, 0)) == (2, 0, 1, 0)  # palindromic fixed point
-
-    @given(configs)
-    def test_full_rotation_is_identity(self, c):
-        n = len(c)
-        out = c
-        for _ in range(n):
-            out = rotate(out, 1)
-        assert out == c
-
-    @given(configs, st.integers(min_value=0, max_value=30))
-    def test_rotate_composition(self, c, i):
-        n = len(c)
-        assert rotate(rotate(c, i), n - i % n) == c
-
-    @given(configs)
-    def test_mirror_involution(self, c):
-        assert mirror(mirror(c)) == c
-
-    def test_rotate_is_bijection_small(self):
-        for n in range(3, 17):
-            c = tuple(range(n))
-            seen = {rotate(c, i) for i in range(n)}
-            assert len(seen) == n
 
 
 class TestIndistinguishable:
