@@ -21,14 +21,15 @@ tuple (``after is before``) and its step plan.  The monitors in ``verify`` and
 
 Robots are oblivious, so ``decide`` must be a pure function of (configuration,
 node).  That purity also lets the engine memoise, per ``decide``, each
-configuration's step plan: where the robots of each occupied node may land,
-whether a coin decides, and whether the configuration is terminal.  The memo
-is bounded and shared by every run in the process, so a campaign's trials
-reuse the plans of the configurations they revisit.  A plan is built whole
-the first time a run reaches its configuration: ``decide`` is asked about
-every occupied node, in node order, and not again while the plan is kept.
-So ``Simulation(c)`` raises ``ProtocolError`` at construction when ``c`` is
-outside ``decide``'s domain.
+configuration's step plan: its decisions and terminal verdict.  A step reads
+each activated robot's decision with the case split of ``decision_outcomes``,
+so runs and checkers share one relation.  The memo is bounded and shared by
+every run in the process, so a campaign's trials reuse the plans of the
+configurations they revisit.  A plan is built whole the first time a run
+reaches its configuration: ``decide`` is asked about every occupied node, in
+node order, and not again while the plan is kept.  So ``Simulation(c)``
+raises ``ProtocolError`` at construction when ``c`` is outside ``decide``'s
+domain.
 
 ``successors`` is the same one-step relation for the checkers: every
 positive-probability branch of one activation, read off two products (the
@@ -47,6 +48,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
+from .protocol import IDLE, MOVE
 from .ring import Configuration, as_config, format_config, is_towerless, occupied_nodes, placement
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
@@ -248,10 +250,10 @@ def decision_outcomes(n: int, node: int, d: "default_protocol.Decision") -> list
     """Every positive-probability landing spot of one robot on ``node`` that
     decided ``d``: None (it stays: idle, or a lost coin), then each node it
     may move to (its target, or both neighbours when an adversary picks)."""
-    if d.kind == default_protocol.IDLE:
+    if d.kind == IDLE:
         return [None]
     targets = [(node - 1) % n, (node + 1) % n] if d.adversary else [d.target]
-    return targets if d.kind == default_protocol.MOVE else [None] + targets
+    return targets if d.kind == MOVE else [None] + targets
 
 
 def successors(c: Configuration, options: OptionsFn) -> Iterator[Branch]:
@@ -291,22 +293,12 @@ def successors(c: Configuration, options: OptionsFn) -> Iterator[Branch]:
 # ---------------------------------------------------------------------------
 
 class _StepPlan(NamedTuple):
-    """What one step may do from a configuration under ``decide``: for each
-    occupied node, the nodes its robots may land on and whether a coin can
-    keep them in place (``spots[node]``, from ``decision_outcomes``; None
-    for an empty node), and whether no robot can move (``terminal``)."""
+    """What one step may do from a configuration under ``decide``: each
+    occupied node's decision (``decisions[node]``; None for an empty node),
+    and whether no robot can move (``terminal``)."""
 
-    spots: tuple[Optional[tuple[tuple[int, ...], bool]], ...]
+    decisions: tuple[Optional["default_protocol.Decision"], ...]
     terminal: bool
-
-
-@lru_cache(maxsize=1 << 10)
-def _spot(targets: tuple[int, ...], stay: bool) -> tuple[tuple[int, ...], bool]:
-    """One ``spots`` entry, interned: equal entries of all plans are one
-    object.  The protocol's robots land only on their node's neighbours, so
-    a ring size has a few distinct entries per node; the memo's bound covers
-    any other ``decide``."""
-    return targets, stay
 
 
 @lru_cache(maxsize=1 << 13)
@@ -315,14 +307,8 @@ def _step_plan(decide: DecideFn, c: Configuration) -> _StepPlan:
     about every occupied node, in node order.  Kept across steps, runs and
     trials: robots are oblivious, so every visit to ``c`` moves by the same
     rules.  Bounded: the least recently used plans go first."""
-    n = len(c)
-    spots: list[Optional[tuple[tuple[int, ...], bool]]] = [None] * n
-    for v, m in enumerate(c):
-        if m:
-            outcomes = decision_outcomes(n, v, decide(c, v))
-            stay = outcomes[0] is None
-            spots[v] = _spot(tuple(outcomes[1:] if stay else outcomes), stay)
-    return _StepPlan(tuple(spots), not any(spot and spot[0] for spot in spots))
+    decisions = tuple(decide(c, v) if m else None for v, m in enumerate(c))
+    return _StepPlan(decisions, not any(d.moves for d in decisions if d is not None))
 
 
 class Simulation:
@@ -373,27 +359,29 @@ class Simulation:
         coins: dict[int, bool] = {}
         adversary_edges: dict[int, int] = {}
         movers: Optional[list[tuple[int, int]]] = None
-        spots = self._plan.spots
+        decisions = self._plan.decisions
         for r in acts:
-            targets, stay = spots[positions[r]]
-            if not targets:
+            v = positions[r]
+            d = decisions[v]
+            if d.kind == IDLE:
                 continue
-            if stay:  # staying put is possible: a fair coin decides
+            if d.kind != MOVE:  # a try-move: a fair coin decides
                 win = self.rng.random() < 0.5
                 coins[r] = win
                 if not win:
                     continue
-            if len(targets) == 2:  # either edge: the adversary picks
-                answer = self.adversary(r, before, targets)
+            if d.adversary:  # either edge: the adversary picks
+                edges = ((v - 1) % self.n, (v + 1) % self.n)
+                answer = self.adversary(r, before, edges)
                 try:  # read as an integer: a bool is recorded as its int
                     target = operator.index(answer)
                 except TypeError:
                     target = None
-                if target not in targets:
+                if target not in edges:
                     raise ValueError(f"adversary returned {answer!r}, not an incident edge")
                 adversary_edges[r] = target
             else:
-                target = targets[0]
+                target = d.target
             if movers is None:
                 movers = [(r, target)]
             else:
@@ -423,7 +411,7 @@ class Simulation:
 
 def is_terminal(c: Configuration, decide: DecideFn = default_protocol.decide) -> bool:
     """No robot moves with positive probability: no occupied node's decision
-    has a landing spot.  ``run`` reads the same step plan."""
+    moves.  ``run`` reads the same step plan."""
     return _step_plan(decide, c).terminal
 
 
