@@ -11,7 +11,7 @@ from ring_explorer import protocol, verify
 from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, mrp, run,
                                   sample_towerless, successors)
 from ring_explorer.ring import (canonical_form, configurations, find_arrow, is_towerless,
-                                occupied_nodes, parse_config, segments)
+                                occupied_nodes, parse_config, placement, segments)
 from ring_explorer.verify import (
     CheckReport,
     InvariantViolation,
@@ -172,6 +172,36 @@ class TestPhase3Monotone:
     def test_below_the_domain_rejected(self):
         with pytest.raises(ValueError, match="protocol domain starts at n=9"):
             check_phase3_monotone(8)
+
+
+class TestCoverage:
+    """A run reaches an arrow only as a primary arrow out of a 4-segment.
+    The 4-segment's nodes plus the nodes its arrow's tail walk occupies on
+    the way to the final arrow are the whole ring."""
+
+    def test_segment_and_tail_walk_cover_the_ring(self):
+        pairs = 0
+        for n in range(9, 25):
+            size_one_arrows = [placement(n, [(t - 2 * o) % n, t, t, (t + o) % n])
+                               for t in range(n) for o in (1, -1)]
+            for start in range(n):
+                nodes = {(start + j) % n for j in range(4)}
+                allowed = verify.successor_rule.__wrapped__(placement(n, nodes))
+                primaries = [c for c in size_one_arrows if allowed(c)]
+                assert len(primaries) == 2
+                for c in primaries:
+                    covered = nodes | set(occupied_nodes(c))
+                    for _ in range(n - 4):
+                        if protocol.phase(c) == "final":
+                            break
+                        tail = find_arrow(c).tail
+                        target = protocol.decide(c, tail).target
+                        c = tuple(m - (v == tail) + (v == target) for v, m in enumerate(c))
+                        covered.add(target)
+                    assert protocol.phase(c) == "final", c
+                    assert covered == set(range(n)), (nodes, c)
+                    pairs += 1
+        assert pairs == 528
 
 
 def test_one_step_checks_leave_the_monitor_memo_alone():
