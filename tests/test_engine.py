@@ -680,6 +680,32 @@ class TestPolicies:
             mask = replay.randrange(1, 1 << 64)
             assert policy.activation(t, 64, rng) == tuple(r for r in range(64) if mask >> r & 1)
 
+    @pytest.mark.parametrize("k", [*range(1, 7), 64])
+    def test_sequential_random_is_randrange(self, k):
+        policy = SchedulerPolicy("sequential-random")
+        rng, replay = random.Random(k), random.Random(k)
+        for t in range(2000):
+            assert policy.activation(t, k, rng) == (replay.randrange(k),)
+        assert rng.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("mode", ["sequential-random", "random-subset"])
+    def test_random_policy_without_robots_raises(self, mode):
+        # No robot to draw: the draw raises as ``randrange`` does on an
+        # empty range, rather than returning an empty activation.
+        with pytest.raises(ValueError):
+            SchedulerPolicy(mode).activation(0, 0, random.Random(0))
+
+
+class TestSeededAdversary:
+    def test_picks_are_randrange(self):
+        rng, replay = random.Random(5), random.Random(5)
+        adversary = SeededAdversary(rng)
+        c = (1, 1, 1, 1, 0, 0, 0, 0, 0)
+        for t in range(2000):
+            options = (t % 9, (t + 2) % 9)
+            assert adversary(0, c, options) == options[replay.randrange(2)]
+        assert rng.getstate() == replay.getstate()
+
 
 class TestStepRecord:
     RECORD = StepRecord(3, (0, 2), (0, 2, 2, 3), (1, 0, 2, 1, 0, 0, 0, 0, 0),

@@ -462,6 +462,13 @@ class TestCampaign:
         assert payload["trials"] == 5
         assert payload["policy"] == "random-subset"
 
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_trial_seeds_are_randrange(self, seed):
+        master = random.Random(seed)
+        expected = [master.randrange(2**63) for _ in range(200)]
+        runs = verify.trial_runs(9, 200, SchedulerPolicy("random-subset"), seed)
+        assert [trial_seed for trial_seed, _ in runs] == expected
+
     def test_failed_bounds_name_the_trial_seed(self, monkeypatch):
         # The protocol's runs never fail the bounds, so a stand-in report that
         # fails reaches the raise: on the first sequential run, naming its
