@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
 from .protocol import IDLE, MOVE
-from .ring import Configuration, as_config, format_config, is_towerless, occupied_nodes, placement
+from .ring import Configuration, as_config, format_config, is_towerless, placement
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
@@ -77,7 +77,7 @@ class SeededAdversary:
         self.rng = rng
 
     def __call__(self, robot: int, config: Configuration, options: tuple[int, int]) -> int:
-        return options[self.rng.randrange(2)]
+        return options[_below(self.rng, 2)]
 
 
 class ScriptedAdversary:
@@ -141,9 +141,9 @@ class SchedulerPolicy:
         if self.mode == ROUND_ROBIN:
             return (t % k,)
         if self.mode == SEQUENTIAL_RANDOM:
-            return (rng.randrange(k),)
+            return (_below(rng, k),)
         if self.mode == RANDOM_SUBSET:
-            return _mask_robots(rng.randrange(1, 1 << k))
+            return _mask_robots(_below(rng, (1 << k) - 1) + 1)
         if t >= len(self._activations):
             return None
         return self._activations[t]
@@ -163,6 +163,22 @@ def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
     """An activation's robot ids, read by ``_integers``, sorted and without
     repeats."""
     return tuple(sorted(set(_integers(activation, "robot ids"))))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from ``range(n)``: ``n.bit_length()`` random bits at a
+    time until they read below ``n``.  That is the integer draw of CPython
+    3.10-3.13's ``Random`` (``_randbelow_with_getrandbits``), so each value
+    and the generator's state after it are the same, without the Python-level
+    argument handling around it.  ValueError for ``n < 1``, as for an empty
+    range: ``getrandbits(0)`` is always 0, so the loop would never end."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
 
 
 @lru_cache(maxsize=1 << 8)
@@ -330,11 +346,11 @@ class Simulation:
         self.rng = rng if rng is not None else random.Random()
         self.adversary = adversary if adversary is not None else SeededAdversary(self.rng)
         self.positions: tuple[int, ...] = tuple(
-            node for node, count in enumerate(c) for _ in range(count))
+            itertools.chain.from_iterable(map(itertools.repeat, range(self.n), c)))
         self.k = len(self.positions)
         self._config = c
         self._plan = _step_plan(decide, c)
-        self.visited: set[int] = set(occupied_nodes(c))
+        self.visited: set[int] = set(self.positions)
         self.t = 0
 
     def configuration(self) -> Configuration:

@@ -22,6 +22,7 @@ from .engine import (
     OptionsFn,
     SchedulerPolicy,
     Trace,
+    _below,
     decision_outcomes,
     mrp,
     run,
@@ -372,7 +373,7 @@ def trial_runs(n: int, trials: int, policy: SchedulerPolicy, seed: int, *,
     the trial seeds are drawn from ``random.Random(seed)``."""
     master = random.Random(seed)
     for _ in range(trials):
-        trial_seed = master.randrange(2**63)
+        trial_seed = _below(master, 1 << 63)
         rng = random.Random(trial_seed)
         initial = sample_towerless(n, PROTOCOL_K, rng)
         yield trial_seed, run(initial, policy, rng=rng, max_steps=max_steps, decide=decide)
