@@ -39,16 +39,42 @@ class ProtocolError(Exception):
     """The snapshot is outside the protocol's domain."""
 
 
-class Decision(NamedTuple):
-    """A robot's compute-phase output.
-
-    ``target`` is the neighbor node to move to; it is None for idle decisions
-    and for moves whose edge is adversary-chosen (``adversary=True``).
-    """
-
+class _DecisionFields(NamedTuple):
     kind: str
     target: Optional[int] = None
     adversary: bool = False
+
+
+class Decision(_DecisionFields):
+    """A robot's compute-phase output.
+
+    ``target`` is the neighbor node to move to; it is None for idle decisions
+    and for moves whose edge is adversary-chosen (``adversary=True``).  This
+    is the one validation boundary for decisions: the kind must be ``IDLE``,
+    ``MOVE`` or ``TRY_MOVE``, an idle decision has neither a target nor the
+    adversary flag, and a moving one has exactly one of them; anything else
+    raises ValueError here, ``_make`` and ``_replace`` included.  The
+    factories below are memoised, so the protocol pays the check once per
+    distinct decision.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, target: Optional[int] = None, adversary: bool = False):
+        if kind == IDLE:
+            if target is not None or adversary:
+                raise ValueError(f"an idle decision has no target and no adversary flag, "
+                                 f"got {target=}, {adversary=}")
+        elif kind not in (MOVE, TRY_MOVE):
+            raise ValueError(f"unknown decision kind {kind!r}")
+        elif (target is None) != bool(adversary):
+            raise ValueError(f"a {kind} decision has a target or the adversary flag, "
+                             f"not both or neither, got {target=}, {adversary=}")
+        return super().__new__(cls, kind, target, adversary)
+
+    @classmethod
+    def _make(cls, iterable) -> "Decision":
+        return cls(*iterable)
 
     @property
     def moves(self) -> bool:

@@ -3,12 +3,13 @@ the tail walk, and the towerless rules' dependence on the hole vector's
 signature alone."""
 
 import itertools
+import pickle
 from math import comb
 
 import pytest
 
 from ring_explorer import protocol
-from ring_explorer.engine import decision_outcomes, successors
+from ring_explorer.engine import SchedulerPolicy, decision_outcomes, is_terminal, run, successors
 from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
 from ring_explorer.ring import configurations, find_arrow, occupied_nodes, segments
 from ring_explorer.verify import check_no_tower_one_step, successor_rule
@@ -347,6 +348,51 @@ class TestDecisionMemos:
         assert (d.kind, d.target, d.adversary, d.moves) == (TRY_MOVE, 3, False, True)
         assert protocol.Decision(IDLE) == protocol.idle() and not protocol.idle().moves
         assert protocol.move_adversary() == protocol.Decision(MOVE, None, adversary=True)
+
+
+# The start of a custom ``decide`` that returns a moving decision with
+# neither a target nor the adversary flag for node 0 and idles elsewhere.
+BARE_MOVE_START = (1, 0, 1, 0, 1, 0, 1, 0, 0, 0)
+
+
+def bare_move_decide(c, i):
+    if c == BARE_MOVE_START and i == 0:
+        return protocol.Decision(MOVE)
+    return protocol.idle()
+
+
+class TestDecisionValidation:
+    """``Decision`` is the one validation boundary: a malformed decision
+    cannot be built, so the engine, the checkers and ``is_terminal`` never
+    read one."""
+
+    @pytest.mark.parametrize("args", [
+        (MOVE,), (TRY_MOVE,), (MOVE, 3, True), (TRY_MOVE, 3, True),
+        (IDLE, 3), (IDLE, None, True), ("jump", 3), (None,),
+    ], ids=["move-bare", "try-move-bare", "move-both", "try-move-both", "idle-target",
+            "idle-adversary", "unknown-kind", "no-kind"])
+    def test_malformed_decisions_raise(self, args):
+        with pytest.raises(ValueError):
+            protocol.Decision(*args)
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ValueError):
+            protocol.move(3)._replace(target=None)
+        assert protocol.move(3)._replace(target=4) == protocol.move(4)
+
+    def test_factories_build_valid_decisions_that_pickle(self):
+        for d in (protocol.idle(), protocol.move(3), protocol.move_adversary(),
+                  protocol.try_move(3), protocol.try_move_adversary()):
+            copy = pickle.loads(pickle.dumps(d))
+            assert copy == d and type(copy) is protocol.Decision
+
+    def test_bare_move_raises_from_run_is_terminal_and_checker(self):
+        with pytest.raises(ValueError, match="not both or neither"):
+            run(BARE_MOVE_START, SchedulerPolicy("round-robin"), seed=0, decide=bare_move_decide)
+        with pytest.raises(ValueError, match="not both or neither"):
+            is_terminal(BARE_MOVE_START, decide=bare_move_decide)
+        with pytest.raises(ValueError, match="not both or neither"):
+            check_no_tower_one_step(10, decide=bare_move_decide)
 
 
 def hole_signature(h):
