@@ -115,6 +115,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         verify.check_no_tower_one_step(args.n),
         verify.check_four_segment_step(args.n),
         verify.check_phase3_monotone(args.n),
+        verify.check_terminal_shape(args.n),
         _mrp_batch(args.n, args.traces, args.seed),
     ]
     lines = []

@@ -1,8 +1,9 @@
 """Mechanical checkers for the protocol's finite claims.
 
 Exhaustive one-step checks (no tower creation, 4-segment successors, arrow
-growth), lower bounds on the collapsed configuration sequence of sequential
-terminating runs, counting of tower-bearing configuration classes, and
+growth), an exhaustive check that no towerless configuration or non-final
+arrow is terminal, lower bounds on the collapsed configuration sequence of
+sequential terminating runs, counting of tower-bearing configuration classes, and
 seeded Monte-Carlo exploration campaigns with per-step invariant monitoring.
 """
 
@@ -12,7 +13,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations, combinations_with_replacement, compress, islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -262,6 +263,29 @@ def check_phase3_monotone(n: int, decide: DecideFn = default_protocol.decide) ->
                             _arrow_config(n, tower, orientation, size + 1)):
                         report.violations.append({"config": c, "reason": "successor not a grown arrow"})
     report.details = {"n": n, "tail_moves_to_terminal": n - 4}
+    return report
+
+
+def check_terminal_shape(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
+    """Every towerless placement and every non-final arrow (size 1..n-4) has
+    an occupied node whose decision moves, so none of them is terminal; each
+    one where no robot moves is a violation.  The direction it proves: the
+    three one-step checks show by induction that every reachable
+    configuration is towerless or an arrow, and ``check_phase3_monotone``
+    that the final arrow is terminal, so with them every reachable terminal
+    configuration is the final arrow."""
+    if n <= 8:
+        raise ValueError("protocol domain starts at n=9")
+    report = CheckReport(claim="terminal-shape")
+    towerless = (placement(n, nodes) for nodes in combinations(range(n), PROTOCOL_K))
+    arrows = (_arrow_config(n, tower, orientation, size)
+              for tower in range(n) for orientation in (1, -1) for size in range(1, n - 3))
+    for c in chain(towerless, arrows):
+        report.instances_checked += 1
+        if not any(decide(c, v).moves for v in compress(range(n), c)):
+            report.violations.append({"config": c, "phase": phase(c)})
+    report.details = {"n": n, "towerless": comb(n, PROTOCOL_K),
+                      "non_final_arrows": 2 * n * (n - 4)}
     return report
 
 

@@ -95,7 +95,7 @@ class TestVerify:
         reports = [json.loads(line) for line in out.strip().splitlines()]
         assert {r["claim"] for r in reports} == {
             "no-tower-after-one-step", "four-segment-successors",
-            "arrow-growth", "mrp-lower-bounds",
+            "arrow-growth", "terminal-shape", "mrp-lower-bounds",
         }
         assert all(r["passed"] for r in reports)
 

@@ -155,7 +155,7 @@ def test_successor_order_pinned(name):
 
 
 # SHA-256 of the stdout of ``verify --n 12 --traces 5 --seed 3``.
-VERIFY_N12_SHA256 = "fbdbf1c85cb3eb85418546b97c4e896f529407d308575aec141670ecc351ff1f"
+VERIFY_N12_SHA256 = "abd12c2619e97770deca55919c5edfca8ea168a877a2d455c551fcba27019846"
 
 
 def test_verify_stdout_pinned(capsys):
@@ -167,7 +167,7 @@ def test_verify_stdout_pinned(capsys):
 
 # SHA-256 of the stdout of ``verify --n 20 --traces 25 --seed 0``, the size
 # the benchmark runs: its hole vectors reach lengths no smaller n has.
-VERIFY_N20_SHA256 = "9549a476dfb3ba76bc544006dcf03edf418076267bbc263d89092e2cf6d531ad"
+VERIFY_N20_SHA256 = "2550047ca2618a1b2f0ae5b3d09295daf9c6cfb078d5458afe1bfbe7be78b1b2"
 
 
 def test_verify_n20_stdout_pinned(capsys):

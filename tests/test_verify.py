@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from ring_explorer import protocol, verify
-from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes, mrp, run,
-                                  sample_towerless, successors)
+from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes,
+                                  is_terminal, mrp, run, sample_towerless, successors)
 from ring_explorer.ring import (canonical_form, configurations, find_arrow, is_towerless,
                                 occupied_nodes, parse_config, placement, segments)
 from ring_explorer.verify import (
@@ -21,6 +21,7 @@ from ring_explorer.verify import (
     check_no_tower_one_step,
     check_phase3_monotone,
     check_run_invariants,
+    check_terminal_shape,
     count_tower_classes,
 )
 
@@ -172,6 +173,40 @@ class TestPhase3Monotone:
     def test_below_the_domain_rejected(self):
         with pytest.raises(ValueError, match="protocol domain starts at n=9"):
             check_phase3_monotone(8)
+
+
+class TestTerminalShape:
+    # n: (configurations, stuck under protocol.decide, stuck_scatter_mutant,
+    # idle_tail_mutant, final_mover_mutant, gap_filler_mutant)
+    COUNTS = {9: (216, 0, 54, 90, 0, 0), 12: (687, 0, 252, 192, 0, 0)}
+    DECIDERS = (protocol.decide, stuck_scatter_mutant, idle_tail_mutant, final_mover_mutant,
+                gap_filler_mutant)
+
+    @pytest.mark.parametrize("n", sorted(COUNTS))
+    def test_counts(self, n):
+        reports = [check_terminal_shape(n, decide=d) for d in self.DECIDERS]
+        assert reports[0].claim == "terminal-shape"
+        assert {r.instances_checked for r in reports} == {self.COUNTS[n][0]}
+        assert tuple(len(r.violations) for r in reports) == self.COUNTS[n][1:]
+        assert reports[0].details == {"n": n, "towerless": comb(n, 4),
+                                      "non_final_arrows": 2 * n * (n - 4)}
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("decide", [protocol.decide, stuck_scatter_mutant, idle_tail_mutant])
+    def test_violations_are_the_terminal_non_final_shapes(self, n, decide):
+        # Oracle: over every four-robot configuration of n nodes, the stuck
+        # ones the engine's step plan finds terminal, less the final arrows
+        # and the towers outside an arrow.
+        expected = [c for c in configurations(n, 4)
+                    if protocol.phase(c) not in ("final", "invalid")
+                    and is_terminal(c, decide)]
+        report = check_terminal_shape(n, decide=decide)
+        assert sorted(v["config"] for v in report.violations) == sorted(expected)
+        assert all(v["phase"] == protocol.phase(v["config"]) for v in report.violations)
+
+    def test_below_the_domain_rejected(self):
+        with pytest.raises(ValueError):
+            check_terminal_shape(8)
 
 
 class TestCoverage:
