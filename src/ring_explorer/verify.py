@@ -3,8 +3,9 @@
 Exhaustive one-step checks (no tower creation, 4-segment successors, arrow
 growth), an exhaustive check that no towerless configuration or non-final
 arrow is terminal, lower bounds on the collapsed configuration sequence of
-sequential terminating runs, counting of tower-bearing configuration classes, and
-seeded Monte-Carlo exploration campaigns with per-step invariant monitoring.
+sequential terminating runs, counting of tower-bearing configuration
+classes, and seeded Monte-Carlo exploration campaigns with per-step
+invariant monitoring.
 """
 
 from __future__ import annotations
