@@ -170,8 +170,10 @@ def _below(rng: random.Random, n: int) -> int:
     time until they read below ``n``.  That is the integer draw of CPython
     3.10-3.13's ``Random`` (``_randbelow_with_getrandbits``), so each value
     and the generator's state after it are the same, without the Python-level
-    argument handling around it.  ValueError for ``n < 1``, as for an empty
-    range: ``getrandbits(0)`` is always 0, so the loop would never end."""
+    argument handling around it.  (A subclass that overrides ``random()``
+    alone draws its integers from ``random()`` instead; this reads its
+    ``getrandbits``.)  ValueError for ``n < 1``, as for an empty range:
+    ``getrandbits(0)`` is always 0, so the loop would never end."""
     if n < 1:
         raise ValueError(f"empty range for a draw below {n}")
     bits = n.bit_length()
