@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocol as default_protocol
 from .protocol import IDLE, MOVE
-from .ring import Configuration, as_config, format_config, is_towerless, placement
+from .ring import Configuration, _integers, as_config, format_config, is_towerless, placement
 
 DecideFn = Callable[[Configuration, int], "default_protocol.Decision"]
 Adversary = Callable[[int, Configuration, tuple[int, int]], int]
@@ -82,7 +82,7 @@ class SeededAdversary:
 
 class ScriptedAdversary:
     """Replays a fixed sequence of edge choices; raises when exhausted.  The
-    choices are read once, by ``_integers``."""
+    choices are read once, by ``ring._integers``."""
 
     def __init__(self, choices: Iterable[int]):
         self._choices = _integers(choices, "scripted edges")
@@ -149,19 +149,9 @@ class SchedulerPolicy:
         return self._activations[t]
 
 
-def _integers(values: Iterable[int], what: str) -> list[int]:
-    """``values``, each read with ``operator.index``: a bool becomes its int,
-    and a float or a string raises ValueError."""
-    values = iter(values)  # outside the try: a non-iterable stays a TypeError
-    try:
-        return list(map(operator.index, values))
-    except TypeError as exc:
-        raise ValueError(f"{what} must be integers: {exc}") from None
-
-
 def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
-    """An activation's robot ids, read by ``_integers``, sorted and without
-    repeats."""
+    """An activation's robot ids, read by ``ring._integers``, sorted and
+    without repeats."""
     return tuple(sorted(set(_integers(activation, "robot ids"))))
 
 

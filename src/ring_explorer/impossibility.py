@@ -83,10 +83,11 @@ class Certificate:
 ProtocolTable = tuple[int, ...]
 
 
-def enumerate_view_classes(n: int = N, k: int = K) -> list[ViewClass]:
-    """All views seen from occupied nodes across every k-robot configuration,
-    deduplicated as unordered direction pairs."""
-    keys = {tuple(sorted(view_of(c, i))) for c in configurations(n, k) for i in occupied_nodes(c)}
+def enumerate_view_classes() -> list[ViewClass]:
+    """All views seen from occupied nodes across every three-robot
+    configuration of the four-ring, deduplicated as unordered direction
+    pairs."""
+    keys = {tuple(sorted(view_of(c, i))) for c in configurations(N, K) for i in occupied_nodes(c)}
     return [ViewClass(index=index, view=key, symmetric=key[0] == key[1])
             for index, key in enumerate(sorted(keys))]
 
@@ -148,7 +149,8 @@ class _Tables:
     configuration (``allowed``, per mode), the symmetry orbits, and the
     forcing game packed per view class and support field (``game``), plus the
     memo of certificate kinds per mode and move bits (``kinds``).
-    ``_tables`` builds them once per process."""
+    ``_tables``, this class under ``functools.cache``, builds them once per
+    process."""
 
     def __init__(self) -> None:
         self.classes = enumerate_view_classes()
@@ -270,14 +272,7 @@ class _Tables:
         self.initial_mask = 0b0111
 
 
-_TABLES: Optional[_Tables] = None
-
-
-def _tables() -> _Tables:
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = _Tables()
-    return _TABLES
+_tables = functools.cache(_Tables)
 
 
 # ---------------------------------------------------------------------------

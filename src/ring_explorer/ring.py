@@ -7,6 +7,7 @@ every externally meaningful comparison goes through ``canonical_form``.
 
 Input from outside the package is validated once, by ``as_config`` (any
 sequence of integers) or ``parse_config`` (the comma-separated text form).
+``_integers`` reads each integer list, here and in ``engine``.
 Every other function here takes a ``Configuration`` tuple as it is and does
 not re-check it.  ``canonical_form``, ``segments`` and ``find_arrow`` are
 cached on that tuple.
@@ -25,14 +26,20 @@ Configuration = tuple[int, ...]
 _CACHE_SIZE = 1 << 16
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values``, each read with ``operator.index``: a bool becomes its int,
+    and a float or a string raises ValueError."""
+    values = iter(values)  # outside the try: a non-iterable stays a TypeError
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 def as_config(values: Sequence[int] | Iterable[int]) -> Configuration:
     """Normalize any multiplicity sequence into a validated tuple.  Every
     value must be an integer: a float or a string is rejected, not cut."""
-    values = iter(values)  # outside the try: a non-iterable stays a TypeError
-    try:
-        c = tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ValueError(f"multiplicities must be integers: {exc}") from None
+    c = _integers(values, "multiplicities")
     if len(c) < 3:
         raise ValueError("configuration needs at least 3 nodes")
     if any(v < 0 for v in c):

@@ -1,6 +1,7 @@
 """Support-level refutation of three-robot protocols on the four-node ring."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -227,7 +228,7 @@ class TestKindMemo:
     @pytest.mark.parametrize("mode", ["distributed", "sequential"])
     def test_memoised_kind_matches_witnessed_kind(self, classes, mode, monkeypatch):
         # A fresh memo, so the slice both fills it and hits it.
-        monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+        monkeypatch.setattr(imp, "_tables", functools.cache(imp._Tables))
         tables = TABLES[::7]
         for table in tables:
             memoised = imp.refute(table, mode, with_witness=False)
@@ -256,7 +257,7 @@ class TestKindMemo:
     def test_report_fills_one_entry_per_move_pattern(self, monkeypatch):
         # The report refutes each move pattern once per mode; every other
         # refutation it asks for builds an example's witness.
-        monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+        monkeypatch.setattr(imp, "_tables", functools.cache(imp._Tables))
         assert imp._tables().kinds == {"distributed": {}, "sequential": {}}
         certificate = imp._certificate
         refuted = []
@@ -922,7 +923,7 @@ class TestAllowedBranches:
         shuffled = random.Random(15).sample(masks, len(masks))
         results = []
         for order in (masks, shuffled):
-            monkeypatch.setattr(imp, "_TABLES", imp._Tables())
+            monkeypatch.setattr(imp, "_tables", functools.cache(imp._Tables))
             results.append({(tm, mode): imp._search(tm, mode)
                             for tm in order for mode in ("distributed", "sequential")})
         assert results[0] == results[1]

@@ -174,6 +174,19 @@ class TestPhase3Monotone:
         with pytest.raises(ValueError, match="protocol domain starts at n=9"):
             check_phase3_monotone(8)
 
+    def test_misread_orientation_is_reported(self, monkeypatch):
+        # A ring model that reads every arrow backwards: each of the
+        # 2 * 9 * 6 arrows, the final ones included, is one violation.
+        def backwards(c):
+            arrow = find_arrow(c)
+            return dataclasses.replace(arrow, orientation=-arrow.orientation)
+
+        monkeypatch.setattr(verify, "find_arrow", backwards)
+        report = check_phase3_monotone(9)
+        assert report.instances_checked == 108
+        assert len({v["config"] for v in report.violations}) == 108
+        assert {v["reason"] for v in report.violations} == {"arrow not recognized"}
+
 
 class TestTerminalShape:
     # n: (configurations, stuck under protocol.decide, stuck_scatter_mutant,
@@ -538,12 +551,14 @@ class TestFaultInjection:
         assert all(sum(v["activation"].values()) >= 2 for v in report.violations)
 
     def test_stuck_scatter_mutant_passes_every_one_step_check(self):
-        # No step makes a tower or breaks an arrow: only a whole-run check
-        # can tell that a run stops in a scatter.
+        # No step makes a tower or breaks an arrow, so the three one-step
+        # checks pass the mutant; check_terminal_shape reports its stuck
+        # scatters.
         reports = [check(9, decide=stuck_scatter_mutant) for check in
                    (check_no_tower_one_step, check_four_segment_step, check_phase3_monotone)]
         assert [(r.passed, r.instances_checked) for r in reports] == \
             [(True, 2115), (True, 315), (True, 108)]
+        assert not check_terminal_shape(9, decide=stuck_scatter_mutant).passed
 
     @pytest.mark.parametrize("policy", ["round-robin", "random-subset", "sequential-random"])
     def test_stuck_scatter_mutant_breaks_campaign(self, policy):
