@@ -21,11 +21,12 @@ tuple (``after is before``) and its step plan.  The monitors in ``verify`` and
 
 Robots are oblivious, so ``decide`` must be a pure function of (configuration,
 node).  That purity also lets the engine memoise, per ``decide``, each
-configuration's step plan: its decisions and terminal verdict.  A step reads
-each activated robot's decision with the case split of ``decision_outcomes``,
-so runs and checkers share one relation.  The memo is bounded and shared by
-every run in the process, so a campaign's trials reuse the plans of the
-configurations they revisit.  A plan is built whole the first time a run
+configuration's step plan: its decisions and terminal verdict.  A step and
+``decision_outcomes`` read the same two fields of each decision: the kind
+(idle stays, a try-move tosses a coin) and the target (None lets the
+adversary pick an edge), so runs and checkers share one relation.  The memo
+is bounded and shared by every run in the process, so a campaign's trials
+reuse the plans of the configurations they revisit.  A plan is built whole the first time a run
 reaches its configuration: ``decide`` is asked about every occupied node, in
 node order, and not again while the plan is kept.  So ``Simulation(c)``
 raises ``ProtocolError`` at construction when ``c`` is outside ``decide``'s
@@ -43,7 +44,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -114,25 +115,24 @@ POLICY_NAMES = (ROUND_ROBIN, SEQUENTIAL_RANDOM, RANDOM_SUBSET, SCRIPTED)
 class SchedulerPolicy:
     """Activation rule.  The built-in infinite modes are fair: round-robin by
     construction, the random modes with probability 1.  Scripted runs end when
-    the script does and only promise non-empty activations."""
+    the script does and only promise non-empty activations.  The script is
+    kept as ``_robot_ids`` reads each entry, sorted and without repeats: a bad
+    id raises here, and scripts that activate the same robots are one policy."""
 
     mode: str
     script: tuple[tuple[int, ...], ...] = ()
-    # ``_robot_ids`` of each script entry, read once: a bad id raises here.
-    _activations: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
-                                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_NAMES:
             raise ValueError(f"unknown scheduler mode {self.mode!r}")
-        object.__setattr__(self, "_activations", tuple(map(_robot_ids, self.script)))
+        object.__setattr__(self, "script", tuple(map(_robot_ids, self.script)))
 
     @property
     def sequential(self) -> bool:
         if self.mode in (ROUND_ROBIN, SEQUENTIAL_RANDOM):
             return True
         if self.mode == SCRIPTED:
-            return all(len(a) == 1 for a in self._activations)
+            return all(len(a) == 1 for a in self.script)
         return False
 
     def activation(self, t: int, k: int, rng: random.Random) -> Optional[tuple[int, ...]]:
@@ -144,9 +144,9 @@ class SchedulerPolicy:
             return (_below(rng, k),)
         if self.mode == RANDOM_SUBSET:
             return _mask_robots(_below(rng, (1 << k) - 1) + 1)
-        if t >= len(self._activations):
+        if t >= len(self.script):
             return None
-        return self._activations[t]
+        return self.script[t]
 
 
 def _robot_ids(activation: Iterable[int]) -> tuple[int, ...]:
@@ -257,10 +257,10 @@ def trace_to_jsonl(trace: Trace) -> list[str]:
 def decision_outcomes(n: int, node: int, d: "default_protocol.Decision") -> list[Optional[int]]:
     """Every positive-probability landing spot of one robot on ``node`` that
     decided ``d``: None (it stays: idle, or a lost coin), then each node it
-    may move to (its target, or both neighbours when an adversary picks)."""
+    may move to (its target, or both neighbours when it names none)."""
     if d.kind == IDLE:
         return [None]
-    targets = [(node - 1) % n, (node + 1) % n] if d.adversary else [d.target]
+    targets = [(node - 1) % n, (node + 1) % n] if d.target is None else [d.target]
     return targets if d.kind == MOVE else [None] + targets
 
 
@@ -378,7 +378,8 @@ class Simulation:
                 coins[r] = win
                 if not win:
                     continue
-            if d.adversary:  # either edge: the adversary picks
+            target = d.target
+            if target is None:  # either edge: the adversary picks
                 edges = ((v - 1) % self.n, (v + 1) % self.n)
                 answer = self.adversary(r, before, edges)
                 try:  # read as an integer: a bool is recorded as its int
@@ -388,8 +389,6 @@ class Simulation:
                 if target not in edges:
                     raise ValueError(f"adversary returned {answer!r}, not an incident edge")
                 adversary_edges[r] = target
-            else:
-                target = d.target
             if movers is None:
                 movers = [(r, target)]
             else:

@@ -4,7 +4,7 @@
 that node takes: stay idle, move across a specific edge, or try to move (a
 fair coin decides whether the move happens).  When the deciding robot's view
 is symmetric its two edges are interchangeable and the traversed edge is
-picked by an adversary; decisions carry that as an explicit flag.
+picked by an adversary; such a decision moves with no target.
 
 The protocol drives the system through three regimes: gather the four robots
 into a single block of adjacent nodes, collapse the block's middle into a
@@ -42,35 +42,30 @@ class ProtocolError(Exception):
 class _DecisionFields(NamedTuple):
     kind: str
     target: Optional[int] = None
-    adversary: bool = False
 
 
 class Decision(_DecisionFields):
     """A robot's compute-phase output.
 
-    ``target`` is the neighbor node to move to; it is None for idle decisions
-    and for moves whose edge is adversary-chosen (``adversary=True``).  This
-    is the one validation boundary for decisions: the kind must be ``IDLE``,
-    ``MOVE`` or ``TRY_MOVE``, an idle decision has neither a target nor the
-    adversary flag, and a moving one has exactly one of them; anything else
-    raises ValueError here, ``_make`` and ``_replace`` included.  The
-    factories below are memoised, so the protocol pays the check once per
-    distinct decision.
+    ``target`` is the neighbor node to move to.  It is None for idle
+    decisions, and for a move whose edge the adversary picks: a robot with a
+    symmetric view names no edge.  This is the one validation boundary for
+    decisions: the kind must be ``IDLE``, ``MOVE`` or ``TRY_MOVE`` and an
+    idle decision has no target; anything else raises ValueError here,
+    ``_make`` and ``_replace`` included.  The factories below are memoised,
+    so the protocol pays the check once per distinct decision; ``move(None)``
+    and ``try_move(None)`` are the adversary's moves.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, target: Optional[int] = None, adversary: bool = False):
+    def __new__(cls, kind: str, target: Optional[int] = None):
         if kind == IDLE:
-            if target is not None or adversary:
-                raise ValueError(f"an idle decision has no target and no adversary flag, "
-                                 f"got {target=}, {adversary=}")
+            if target is not None:
+                raise ValueError(f"an idle decision has no target, got {target=}")
         elif kind not in (MOVE, TRY_MOVE):
             raise ValueError(f"unknown decision kind {kind!r}")
-        elif (target is None) != bool(adversary):
-            raise ValueError(f"a {kind} decision has a target or the adversary flag, "
-                             f"not both or neither, got {target=}, {adversary=}")
-        return super().__new__(cls, kind, target, adversary)
+        return super().__new__(cls, kind, target)
 
     @classmethod
     def _make(cls, iterable) -> "Decision":
@@ -87,23 +82,13 @@ def idle() -> Decision:
 
 
 @lru_cache(maxsize=None)
-def move(target: int) -> Decision:
+def move(target: Optional[int]) -> Decision:
     return Decision(MOVE, target)
 
 
 @lru_cache(maxsize=None)
-def move_adversary() -> Decision:
-    return Decision(MOVE, None, adversary=True)
-
-
-@lru_cache(maxsize=None)
-def try_move(target: int) -> Decision:
+def try_move(target: Optional[int]) -> Decision:
     return Decision(TRY_MOVE, target)
-
-
-@lru_cache(maxsize=None)
-def try_move_adversary() -> Decision:
-    return Decision(TRY_MOVE, None, adversary=True)
 
 
 def has_four_segment(c: Configuration) -> bool:
@@ -180,10 +165,7 @@ def _rules(c: Configuration) -> dict[int, Decision]:
     if len(p) == 4:
         a, b, d, e = p
         for j, (how, step) in _gathering((b - a - 1, d - b - 1, e - d - 1, n - 1 + a - e)).items():
-            if step:
-                out[p[j]] = (move if how == MOVE else try_move)((p[j] + step) % n)
-            else:
-                out[p[j]] = move_adversary() if how == MOVE else try_move_adversary()
+            out[p[j]] = (move if how == MOVE else try_move)((p[j] + step) % n if step else None)
         return out
     arrow = find_arrow(c)
     if arrow is None:

@@ -176,11 +176,11 @@ class Arrow:
     """One robot (tail), a run of free nodes, a two-robot tower, one robot (head).
 
     ``size`` counts the free nodes between tail and tower; ``orientation`` is
-    the index step that walks the path tail -> frees -> tower -> head.
+    the index step that walks the path tail -> frees -> tower -> head, so the
+    head is node ``(tower + orientation) % n``.
     """
 
     tail: int
-    head: int
     tower: int
     size: int
     orientation: int
@@ -203,7 +203,7 @@ def find_arrow(c: Configuration) -> Optional[Arrow]:
     before, after = p[t - 1], p[(t + 1) % 3]
     ahead, behind = (after - tower - 1) % n, (tower - before - 1) % n
     if not ahead and behind:
-        return Arrow(tail=before, head=after, tower=tower, size=behind, orientation=1)
+        return Arrow(tail=before, tower=tower, size=behind, orientation=1)
     if not behind and ahead:
-        return Arrow(tail=after, head=before, tower=tower, size=ahead, orientation=-1)
+        return Arrow(tail=after, tower=tower, size=ahead, orientation=-1)
     return None

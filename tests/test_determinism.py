@@ -70,11 +70,14 @@ def test_simulate_stdout_pinned(capsys, policy, seed):
 
 # SHA-256 over ``decide(c, i)`` for every 4-robot configuration of n = 9..12
 # and every occupied node: one line per pair, with the decision's
-# ``kind,target,adversary`` or the class name of the exception it raises.
+# ``kind,target,adversary`` or the class name of the exception it raises;
+# ``adversary`` is True for a move with no target, whose edge the adversary
+# picks.
 DECISION_TABLE_9_TO_12_SHA256 = "db36cee66a838d8c3a1e66f59442cd4d64fc7f628ac9b6a3502e1fadfab89426"
 
 # SHA-256 over the ordered branch lists of ``engine.successors``, labels
-# included (a protocol label as ``(kind, target, adversary)``).
+# included (a protocol label as ``(kind, target, adversary)``, the last
+# written as in the decision table).
 SUCCESSORS_SHA256 = {
     # Every three-robot four-ring configuration with the refuter's option
     # table, distributed then sequential.
@@ -96,7 +99,7 @@ def test_decision_table_pinned():
             for i in occupied_nodes(c):
                 try:
                     d = protocol.decide(c, i)
-                    row = f"{d.kind},{d.target},{d.adversary}"
+                    row = f"{d.kind},{d.target},{d.moves and d.target is None}"
                 except Exception as exc:
                     row = type(exc).__name__
                 digest.update(f"{format_config(c)}@{i}:{row}\n".encode())
@@ -110,7 +113,7 @@ def _branches_sha256(cases) -> str:
             if sequential and len(outcomes) != 1:
                 continue
             rows = tuple((v, dest, label if isinstance(label, int)
-                          else (label.kind, label.target, label.adversary))
+                          else (label.kind, label.target, label.moves and label.target is None))
                          for v, dest, label in outcomes)
             digest.update(f"{activation}{rows}{succ}\n".encode())
     return digest.hexdigest()
@@ -258,7 +261,7 @@ def test_towerless_rules_pinned():
     for n in range(5, 25):
         for h in _hole_vectors(n - 4):
             c = tuple(v for length in h for v in (1, *[0] * length))
-            row = ";".join(f"{v}={d.kind},{d.target},{d.adversary}"
+            row = ";".join(f"{v}={d.kind},{d.target},{d.moves and d.target is None}"
                            for v, d in sorted(protocol._rules(c).items()))
             digest.update(f"{format_config(c)}:{row}\n".encode())
             count += 1

@@ -596,7 +596,7 @@ class TestRun:
     def test_scripted_activations_are_normalised(self):
         messy = tuple(tuple(reversed(a)) + a for a in SCRIPT)  # e.g. (2, 1, 1, 2)
         policy = SchedulerPolicy("scripted", script=messy * 30)
-        assert policy.script == messy * 30  # the policy keeps its script as given
+        assert policy.script == SCRIPT * 30  # the policy keeps its script normalised
         for seed in range(4):
             initial = sample_towerless(12, 4, random.Random(seed))
             ours = run(initial, policy, seed=seed)
@@ -664,6 +664,11 @@ class TestPolicies:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             SchedulerPolicy("alphabetical")
+
+    def test_policies_that_activate_the_same_robots_are_one_value(self):
+        from_lists = SchedulerPolicy("scripted", script=[[1, 0]])
+        normalised = SchedulerPolicy("scripted", script=((0, 1),))
+        assert from_lists == normalised and hash(from_lists) == hash(normalised)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_random_subset_is_the_mask_bit_decode(self, k):
@@ -806,7 +811,7 @@ def robot_outcomes(c, node):
     edges = [(node - 1) % len(c), (node + 1) % len(c)]
     if d.kind == protocol.IDLE:
         return [None]
-    targets = edges if d.adversary else [d.target]
+    targets = edges if d.target is None else [d.target]
     return targets if d.kind == protocol.MOVE else [None] + targets
 
 

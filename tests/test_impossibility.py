@@ -1111,7 +1111,7 @@ def bridge_decision(table, c, i):
     if not tm & (fwd_bit | bwd_bit):
         return protocol.idle()
     if fwd_bit == bwd_bit:
-        return protocol.try_move_adversary() if tm & idle else protocol.move_adversary()
+        return protocol.try_move(None) if tm & idle else protocol.move(None)
     assert not (tm & fwd_bit and tm & bwd_bit), "both directions: no single-decision form"
     target = fwd if tm & fwd_bit else bwd
     return protocol.try_move(target) if tm & idle else protocol.move(target)

@@ -9,7 +9,8 @@ from math import comb
 import pytest
 
 from ring_explorer import protocol
-from ring_explorer.engine import SchedulerPolicy, decision_outcomes, is_terminal, run, successors
+from ring_explorer.engine import (ScriptedAdversary, SchedulerPolicy, decision_outcomes,
+                                  is_terminal, run, successors)
 from ring_explorer.protocol import IDLE, MOVE, TRY_MOVE, ProtocolError, decide
 from ring_explorer.ring import configurations, find_arrow, occupied_nodes, segments
 from ring_explorer.verify import check_no_tower_one_step, successor_rule
@@ -139,7 +140,7 @@ class TestGathering:
     def test_three_segment_equal_holes_adversary(self):
         c = (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)  # n=10, both holes length 3
         d = decide(c, 6)
-        assert d.kind == MOVE and d.adversary
+        assert d.kind == MOVE and d.target is None
 
     def test_unique_pair_closest_isolated_moves(self):
         c = (1, 1, 0, 1, 0, 0, 1, 0, 0)
@@ -175,16 +176,16 @@ class TestGathering:
         c = (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0)  # n=12, evenly spaced
         for i in (0, 3, 6, 9):
             d = decide(c, i)
-            assert d.kind == TRY_MOVE and d.adversary
+            assert d.kind == TRY_MOVE and d.target is None
 
     def test_four_isolated_two_longest_asymmetric_uses_smaller_reading(self):
         # n=14, hole lengths 3,3,1,3 around: two robots sit between longest
         # holes yet see asymmetric views; the move follows the smaller reading.
         c = (1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0)
         d = decide(c, 0)
-        assert (d.kind, d.target, d.adversary) == (TRY_MOVE, 1, False)
+        assert (d.kind, d.target) == (TRY_MOVE, 1)
         d = decide(c, 4)
-        assert (d.kind, d.target, d.adversary) == (TRY_MOVE, 3, False)
+        assert (d.kind, d.target) == (TRY_MOVE, 3)
         d = decide(c, 8)
         assert (d.kind, d.target) == (TRY_MOVE, 7)
         d = decide(c, 10)
@@ -252,13 +253,13 @@ class TestTailWalk:
 def shifted(d, r, n):
     if d.target is None:
         return d
-    return protocol.Decision(d.kind, (d.target - r) % n, d.adversary)
+    return protocol.Decision(d.kind, (d.target - r) % n)
 
 
 def reflected(d, n):
     if d.target is None:
         return d
-    return protocol.Decision(d.kind, (-d.target) % n, d.adversary)
+    return protocol.Decision(d.kind, (-d.target) % n)
 
 
 class TestAnonymity:
@@ -292,7 +293,7 @@ class TestAnonymity:
                 d = decide(c, i)
                 if not d.moves:
                     continue
-                if d.adversary:
+                if d.target is None:
                     continue  # both edges; safety is checked exhaustively in verify
                 assert c[d.target] == 0
                 targets.append(d.target)
@@ -344,14 +345,14 @@ class TestDecisionMemos:
 
     def test_decisions_keep_their_fields(self):
         d = protocol.try_move(3)
-        assert repr(d) == "Decision(kind='try-move', target=3, adversary=False)"
-        assert (d.kind, d.target, d.adversary, d.moves) == (TRY_MOVE, 3, False, True)
+        assert protocol.Decision._fields == ("kind", "target")
+        assert repr(d) == "Decision(kind='try-move', target=3)"
+        assert (d.kind, d.target, d.moves) == (TRY_MOVE, 3, True)
         assert protocol.Decision(IDLE) == protocol.idle() and not protocol.idle().moves
-        assert protocol.move_adversary() == protocol.Decision(MOVE, None, adversary=True)
 
 
-# The start of a custom ``decide`` that returns a moving decision with
-# neither a target nor the adversary flag for node 0 and idles elsewhere.
+# The start of a custom ``decide`` that returns a move with no target for
+# node 0, so the adversary picks its edge, and idles elsewhere.
 BARE_MOVE_START = (1, 0, 1, 0, 1, 0, 1, 0, 0, 0)
 
 
@@ -364,35 +365,46 @@ def bare_move_decide(c, i):
 class TestDecisionValidation:
     """``Decision`` is the one validation boundary: a malformed decision
     cannot be built, so the engine, the checkers and ``is_terminal`` never
-    read one."""
+    read one.  A decision is a kind and a target and nothing else; a move
+    with no target is the adversary's."""
 
-    @pytest.mark.parametrize("args", [
-        (MOVE,), (TRY_MOVE,), (MOVE, 3, True), (TRY_MOVE, 3, True),
-        (IDLE, 3), (IDLE, None, True), ("jump", 3), (None,),
-    ], ids=["move-bare", "try-move-bare", "move-both", "try-move-both", "idle-target",
-            "idle-adversary", "unknown-kind", "no-kind"])
-    def test_malformed_decisions_raise(self, args):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("args,error", [
+        ((MOVE, 3, True), TypeError), ((TRY_MOVE, 3, True), TypeError),
+        ((IDLE, 3), ValueError), ((IDLE, None, True), TypeError),
+        (("jump", 3), ValueError), ((None,), ValueError),
+    ], ids=["move-both", "try-move-both", "idle-target", "idle-adversary", "unknown-kind",
+            "no-kind"])
+    def test_malformed_decisions_raise(self, args, error):
+        with pytest.raises(error):
             protocol.Decision(*args)
+
+    @pytest.mark.parametrize("kind,factory,outcomes", [
+        (MOVE, protocol.move, [9, 1]), (TRY_MOVE, protocol.try_move, [None, 9, 1]),
+    ], ids=["move-bare", "try-move-bare"])
+    def test_a_bare_move_is_the_adversarys(self, kind, factory, outcomes):
+        d = protocol.Decision(kind)
+        assert d == factory(None) and d.moves
+        assert decision_outcomes(10, 0, d) == outcomes
 
     def test_replace_is_validated(self):
         with pytest.raises(ValueError):
-            protocol.move(3)._replace(target=None)
+            protocol.idle()._replace(target=3)
         assert protocol.move(3)._replace(target=4) == protocol.move(4)
+        assert protocol.move(3)._replace(target=None) == protocol.move(None)
 
     def test_factories_build_valid_decisions_that_pickle(self):
-        for d in (protocol.idle(), protocol.move(3), protocol.move_adversary(),
-                  protocol.try_move(3), protocol.try_move_adversary()):
+        for d in (protocol.idle(), protocol.move(3), protocol.move(None),
+                  protocol.try_move(3), protocol.try_move(None)):
             copy = pickle.loads(pickle.dumps(d))
             assert copy == d and type(copy) is protocol.Decision
 
-    def test_bare_move_raises_from_run_is_terminal_and_checker(self):
-        with pytest.raises(ValueError, match="not both or neither"):
-            run(BARE_MOVE_START, SchedulerPolicy("round-robin"), seed=0, decide=bare_move_decide)
-        with pytest.raises(ValueError, match="not both or neither"):
-            is_terminal(BARE_MOVE_START, decide=bare_move_decide)
-        with pytest.raises(ValueError, match="not both or neither"):
-            check_no_tower_one_step(10, decide=bare_move_decide)
+    def test_bare_move_lets_the_adversary_pick_in_run_is_terminal_and_checker(self):
+        trace = run(BARE_MOVE_START, SchedulerPolicy("scripted", script=((0,),)), seed=0,
+                    decide=bare_move_decide, adversary=ScriptedAdversary([1]))
+        assert trace.steps[0].adversary_edges == {0: 1}
+        assert trace.steps[0].after == (0, 1, 1, 0, 1, 0, 1, 0, 0, 0)
+        assert not is_terminal(BARE_MOVE_START, decide=bare_move_decide)
+        assert check_no_tower_one_step(10, decide=bare_move_decide).passed
 
 
 def hole_signature(h):

@@ -251,18 +251,18 @@ def arrow_walk(c):
             size += 1
             j = (j - orientation) % n
         if size >= 1 and c[j] == 1:
-            return Arrow(tail=j, head=head, tower=tower, size=size, orientation=orientation)
+            return Arrow(tail=j, tower=tower, size=size, orientation=orientation)
     return None
 
 
 class TestArrow:
     def test_primary_arrow(self):
         a = find_arrow((2, 1, 0, 0, 1, 0))
-        assert a == Arrow(tail=4, head=1, tower=0, size=1, orientation=1)
+        assert a == Arrow(tail=4, tower=0, size=1, orientation=1)
 
     def test_size_two_arrow(self):
         a = find_arrow((2, 1, 0, 1, 0, 0))
-        assert (a.tail, a.head, a.tower, a.size) == (3, 1, 0, 2)
+        assert (a.tail, a.tower, a.size, a.orientation) == (3, 0, 2, 1)
 
     def test_no_tower_no_arrow(self):
         assert find_arrow((1, 1, 1, 1, 0, 0, 0, 0, 0)) is None
@@ -294,9 +294,9 @@ class TestArrow:
                     if expected:
                         tail, head, tw, size, d = next(iter(expected))
                         assert got is not None
-                        assert (got.tail, got.head, got.tower, got.size, got.orientation) == (
-                            tail, head, tw, size, d,
-                        )
+                        # the head is the tower's neighbour along the orientation
+                        assert (got.tail, (got.tower + got.orientation) % n, got.tower,
+                                got.size, got.orientation) == (tail, head, tw, size, d)
                     else:
                         assert got is None
 

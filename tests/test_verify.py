@@ -273,8 +273,9 @@ class TestInstanceCounts:
         assert check_phase3_monotone(n).instances_checked == 2 * n * (n - 3)
 
     def test_decisions_are_shared_values(self):
-        # One Decision per kind and target: idle, the two adversary moves,
-        # and a move and a try-move per node.
+        # One Decision per kind and target: idle, the two moves with no
+        # target (the adversary picks the edge), and a move and a try-move
+        # per node.
         n = 12
         seen = {}
         for c in configurations(n, 4):
