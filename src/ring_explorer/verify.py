@@ -128,28 +128,41 @@ def _check_successors(claim: str, n: int,
     the caller knows to be the same, so that no configuration is classified
     twice.  Returns the report and the number of pairs.
 
-    A branch's successor depends only on where the moving robots land, so
-    each node contributes a multiset of at most its robot count over its
-    moves, and each such combination is built and tested once.  The first
-    combination, where no robot moves, is skipped: its successor is ``c``
-    itself, which each case's rule must admit (``successor_rule`` does for
-    every configuration in ``decide``'s domain).  ``instances_checked`` is
-    still the number of branches ``engine.successors`` yields: per node, the
-    outcome multisets ``C(L + m, m)`` of its ``m`` robots over ``L`` landing
-    spots, multiplied over nodes, less the empty activation.  Only a
-    configuration with a rejected successor has its branches walked; each
-    rejected branch is a violation, recorded as the refuter's witness rows
-    are: the activation as a robot count per node, and each activated robot's
-    ``node`` and destination ``to`` (None when it stays)."""
+    A case whose rule is the scatter rule, ``is_towerless``, is settled from
+    its robots' landing sets, each robot's own node plus its decision's
+    destinations.  The rule admits ``c`` itself (see below), so the robots
+    sit on distinct nodes, and they choose independently: each may stay (not
+    activated, idle, or a lost coin) or land on any destination, and every
+    combination but "nobody activated" is a branch.  So some branch makes a
+    tower if and only if two landing sets meet: when they are pairwise
+    disjoint no successor is built, and otherwise the case is enumerated
+    like any other, which finds its violation rows.
+
+    A case is enumerated thus: a branch's successor depends only on where
+    the moving robots land, so each node contributes a multiset of at most
+    its robot count over its moves, and each such combination is built and
+    tested once.  The first combination, where no robot moves, is skipped:
+    its successor is ``c`` itself, which each case's rule must admit
+    (``successor_rule`` does for every configuration in ``decide``'s
+    domain).  ``instances_checked`` is the number of branches
+    ``engine.successors`` yields either way: per node, the outcome multisets
+    ``C(L + m, m)`` of its ``m`` robots over ``L`` landing spots, multiplied
+    over nodes, less the empty activation.  Only a configuration with a
+    rejected successor has its branches walked; each rejected branch is a
+    violation, recorded as the refuter's witness rows are: the activation as
+    a robot count per node, and each activated robot's ``node`` and
+    destination ``to`` (None when it stays)."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim=claim)
-    # (node, decision, robots) -> (branch factor, the node's move multisets)
+    # (node, decision, robots) -> (branch factor, landing set as a bitmask,
+    # the node's move multisets)
     node_moves: dict = {}
     count = 0
     for count, (c, allowed) in enumerate(cases, 1):
         branches = 1
         rows = []
+        landed = clash = 0
         for v in compress(range(n), c):
             m = c[v]
             d = decide(c, v)
@@ -157,13 +170,18 @@ def _check_successors(claim: str, n: int,
             if key not in node_moves:
                 spots = decision_outcomes(n, v, d)
                 moves = [(v, dest) for dest in spots if dest is not None]
-                node_moves[key] = (comb(len(spots) + m, m),
+                lands = 1 << v | sum(1 << dest for _, dest in moves)
+                node_moves[key] = (comb(len(spots) + m, m), lands,
                                    [tuple(move for move in pick if move)
                                     for pick in combinations_with_replacement([None] + moves, m)])
-            factor, row = node_moves[key]
+            factor, lands, row = node_moves[key]
             branches *= factor
             rows.append(row)
+            clash |= landed & lands
+            landed |= lands
         report.instances_checked += branches - 1
+        if not clash and allowed is is_towerless:
+            continue
         for picks in islice(product(*rows), 1, None):
             counts = list(c)
             for moves in picks:
@@ -198,8 +216,9 @@ def _four_segments(n: int) -> list[tuple[int, ...]]:
 def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
     """For every towerless 4-robot configuration without a 4-segment, every
     nonempty activation, coin vector, and adversary resolution: the successor
-    is towerless.  Exhaustive: each distinct successor is tested once, and
-    ``instances_checked`` counts the branches.
+    is towerless.  Exhaustive: a scatter whose robots' landing sets are
+    pairwise disjoint has no tower in any branch, any other is enumerated,
+    and ``instances_checked`` counts the branches.
 
     The configurations are the towerless placements less the n 4-segments,
     so each one is a scatter, and ``is_towerless`` (the claim) is exactly

@@ -78,3 +78,16 @@ def final_mover_mutant(c, i):
     if arrow is not None and arrow.size == len(c) - 3 and i == arrow.tail:
         return protocol.move((arrow.tail - arrow.orientation) % len(c))
     return protocol.decide(c, i)
+
+
+def lander_mutant(c, i):
+    """Gathering fault: in a scatter, a robot with an occupied neighbour
+    moves onto it, the node ahead first.  The tower forms on a robot that
+    stays put, so a check must count a robot's own node among its landing
+    spots to see it."""
+    if c[i] and protocol.phase(c) == "scatter":
+        n = len(c)
+        for step in (1, -1):
+            if c[(i + step) % n]:
+                return protocol.move((i + step) % n)
+    return protocol.decide(c, i)

@@ -6,6 +6,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ring_explorer import protocol, verify
 from ring_explorer.engine import (SchedulerPolicy, StepRecord, Trace, decision_outcomes,
@@ -26,10 +28,11 @@ from ring_explorer.verify import (
 )
 
 from mutants import (final_mover_mutant, flipped_tail_mutant, gap_filler_mutant,
-                     idle_tail_mutant, shortest_hole_mutant, stuck_scatter_mutant)
+                     idle_tail_mutant, lander_mutant, shortest_hole_mutant,
+                     stuck_scatter_mutant)
 
 DECIDERS = [protocol.decide, shortest_hole_mutant, gap_filler_mutant, flipped_tail_mutant,
-            idle_tail_mutant, final_mover_mutant]
+            idle_tail_mutant, final_mover_mutant, lander_mutant]
 
 
 def towerless_configs(n):
@@ -65,6 +68,17 @@ class TestNoTowerOneStep:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             check_no_tower_one_step(8)
+
+    def test_protocol_scatters_are_settled_without_enumeration(self, monkeypatch):
+        # The protocol's robots never share a landing spot in a scatter, so
+        # the landing-set test settles every case and no successor is built.
+        def no_product(*rows):
+            raise AssertionError("a scatter was enumerated")
+
+        monkeypatch.setattr(verify, "product", no_product)
+        report = check_no_tower_one_step(12)
+        assert report.passed
+        assert report.instances_checked == expected_one_step_instances(12)
 
 
 def reference_check_successors(claim, n, cases, decide):
@@ -120,6 +134,37 @@ class TestOneStepOracle:
             expected, _ = reference_check_successors("one", n, cases, decide)
             assert report.instances_checked == expected.instances_checked, c
             assert report.violations == expected.violations, c
+
+
+@st.composite
+def towerless_decisions(draw):
+    """A towerless placement at n = 9..12 and one decision per robot: idle,
+    or a move or coin toss to either neighbour or to the adversary's choice."""
+    n = draw(st.integers(min_value=9, max_value=12))
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=4, max_size=4,
+                          unique=True))
+    decisions = {v: draw(st.sampled_from(
+        [protocol.idle()] + [make(target) for make in (protocol.move, protocol.try_move)
+                             for target in ((v - 1) % n, (v + 1) % n, None)]))
+        for v in sorted(nodes)}
+    return n, placement(n, nodes), decisions
+
+
+@given(towerless_decisions())
+def test_one_case_matches_branch_walk_under_any_decisions(case):
+    # Any decisions, not only the protocol's: a scatter settled from its
+    # landing sets, and a 4-segment under its own rule, must give the same
+    # count and rows as walking every branch.
+    n, c, decisions = case
+    cases = [(c, verify.successor_rule.__wrapped__(c))]
+
+    def decide(_, v):
+        return decisions[v]
+
+    report, _ = verify._check_successors("one", n, cases, decide)
+    expected, _ = reference_check_successors("one", n, cases, decide)
+    assert report.instances_checked == expected.instances_checked
+    assert report.violations == expected.violations
 
 
 class TestScatterEnumeration:
@@ -550,6 +595,14 @@ class TestFaultInjection:
         report = check_no_tower_one_step(9, decide=gap_filler_mutant)
         assert len(report.violations) == 438
         assert all(sum(v["activation"].values()) >= 2 for v in report.violations)
+
+    @pytest.mark.parametrize("n, instances, violations", [(9, 1755, 1080), (10, 3405, 1760)])
+    def test_lander_mutant_towers_on_robots_that_stay(self, n, instances, violations):
+        # A robot moves onto an occupied neighbour: the tower needs the robot
+        # already there to stay, so a check that leaves a robot's own node
+        # out of its landing spots sees only the towers of two movers.
+        report = check_no_tower_one_step(n, decide=lander_mutant)
+        assert (report.instances_checked, len(report.violations)) == (instances, violations)
 
     def test_stuck_scatter_mutant_passes_every_one_step_check(self):
         # No step makes a tower or breaks an arrow, so the three one-step
