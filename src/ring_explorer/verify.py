@@ -14,7 +14,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations, compress
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -130,38 +130,27 @@ def _check_successors(claim: str, n: int,
 
     A case whose rule is the scatter rule, ``is_towerless``, is settled from
     its robots' landing sets, each robot's own node plus its decision's
-    destinations.  The rule admits ``c`` itself (see below), so the robots
-    sit on distinct nodes, and they choose independently: each may stay (not
+    destinations.  The rule admits ``c`` itself, so the robots sit on
+    distinct nodes, and they choose independently: each may stay (not
     activated, idle, or a lost coin) or land on any destination, and every
     combination but "nobody activated" is a branch.  So some branch makes a
-    tower if and only if two landing sets meet: when they are pairwise
-    disjoint no successor is built, and otherwise the case is enumerated
-    like any other, which finds its violation rows.
-
-    A case is enumerated thus: a branch's successor depends only on where
-    the moving robots land, so each node contributes a multiset of at most
-    its robot count over its moves, and each such combination is built and
-    tested once.  The first combination, where no robot moves, is skipped:
-    its successor is ``c`` itself, which each case's rule must admit
-    (``successor_rule`` does for every configuration in ``decide``'s
-    domain).  ``instances_checked`` is the number of branches
-    ``engine.successors`` yields either way: per node, the outcome multisets
-    ``C(L + m, m)`` of its ``m`` robots over ``L`` landing spots, multiplied
-    over nodes, less the empty activation.  Only a configuration with a
-    rejected successor has its branches walked; each rejected branch is a
+    tower if and only if two landing sets meet, and a scatter whose landing
+    sets are pairwise disjoint passes with no successor built.  Every other
+    case walks ``engine.successors``, and each rejected branch is a
     violation, recorded as the refuter's witness rows are: the activation as
     a robot count per node, and each activated robot's ``node`` and
-    destination ``to`` (None when it stays)."""
+    destination ``to`` (None when it stays).
+    ``instances_checked`` is the number of branches either way: per node,
+    the outcome multisets ``C(L + m, m)`` of its ``m`` robots over ``L``
+    landing spots, multiplied over nodes, less the empty activation."""
     if n <= 8:
         raise ValueError("protocol domain starts at n=9")
     report = CheckReport(claim=claim)
-    # (node, decision, robots) -> (branch factor, landing set as a bitmask,
-    # the node's move multisets)
+    # (node, decision, robots) -> (branch factor, landing set as a bitmask)
     node_moves: dict = {}
     count = 0
     for count, (c, allowed) in enumerate(cases, 1):
         branches = 1
-        rows = []
         landed = clash = 0
         for v in compress(range(n), c):
             m = c[v]
@@ -169,43 +158,24 @@ def _check_successors(claim: str, n: int,
             key = (v, d, m)
             if key not in node_moves:
                 spots = decision_outcomes(n, v, d)
-                moves = [(v, dest) for dest in spots if dest is not None]
-                lands = 1 << v | sum(1 << dest for _, dest in moves)
-                node_moves[key] = (comb(len(spots) + m, m), lands,
-                                   [tuple(move for move in pick if move)
-                                    for pick in combinations_with_replacement([None] + moves, m)])
-            factor, lands, row = node_moves[key]
+                node_moves[key] = (comb(len(spots) + m, m),
+                                   1 << v | sum(1 << dest for dest in spots if dest is not None))
+            factor, lands = node_moves[key]
             branches *= factor
-            rows.append(row)
             clash |= landed & lands
             landed |= lands
         report.instances_checked += branches - 1
         if not clash and allowed is is_towerless:
             continue
-        for picks in islice(product(*rows), 1, None):
-            counts = list(c)
-            for moves in picks:
-                for v, dest in moves:
-                    counts[v] -= 1
-                    counts[dest] += 1
-            if not allowed(tuple(counts)):
-                report.violations.extend(_rejected_branches(c, allowed, decide))
-                break
+        for activation, outcomes, after in successors(c, _protocol_options(c, decide)):
+            if not allowed(after):
+                report.violations.append({
+                    "before": c,
+                    "after": after,
+                    "activation": dict(activation),
+                    "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
+                })
     return report, count
-
-
-def _rejected_branches(c: Configuration, allowed: Callable[[Configuration], bool],
-                       decide: DecideFn) -> Iterator[dict]:
-    """The violation rows of ``c``: every branch whose successor ``allowed``
-    rejects, in ``engine.successors`` order."""
-    for activation, outcomes, after in successors(c, _protocol_options(c, decide)):
-        if not allowed(after):
-            yield {
-                "before": c,
-                "after": after,
-                "activation": dict(activation),
-                "outcomes": [{"node": v, "to": dest} for v, dest, _ in outcomes],
-            }
 
 
 def _four_segments(n: int) -> list[tuple[int, ...]]:
@@ -217,8 +187,8 @@ def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) 
     """For every towerless 4-robot configuration without a 4-segment, every
     nonempty activation, coin vector, and adversary resolution: the successor
     is towerless.  Exhaustive: a scatter whose robots' landing sets are
-    pairwise disjoint has no tower in any branch, any other is enumerated,
-    and ``instances_checked`` counts the branches.
+    pairwise disjoint has no tower in any branch, any other has its
+    branches walked, and ``instances_checked`` counts the branches.
 
     The configurations are the towerless placements less the n 4-segments,
     so each one is a scatter, and ``is_towerless`` (the claim) is exactly
@@ -240,8 +210,8 @@ def check_no_tower_one_step(n: int, decide: DecideFn = default_protocol.decide) 
 def check_four_segment_step(n: int, decide: DecideFn = default_protocol.decide) -> CheckReport:
     """Every successor of a 4-segment configuration is that configuration or
     the primary arrow on the same four nodes.  Exhaustive over placements,
-    activations, and coin vectors: each distinct successor is tested once,
-    and ``instances_checked`` counts the branches."""
+    activations, and coin vectors: every branch ``engine.successors`` yields
+    is tested, and ``instances_checked`` counts them."""
     placements = (placement(n, nodes) for nodes in _four_segments(n))
     report, count = _check_successors("four-segment-successors", n,
                                       ((c, successor_rule.__wrapped__(c)) for c in placements),

@@ -853,3 +853,56 @@ class TestSuccessors:
             assert Counter(self.branches(c)) == expected
             singles = Counter({b: m for b, m in expected.items() if b[0] == 1})
             assert Counter(self.branches(c, sequential=True)) == singles
+
+
+def sorted_holes(c):
+    """The free-node counts between consecutive robots of a towerless ``c``,
+    sorted."""
+    nodes = occupied_nodes(c)
+    n = len(c)
+    return sorted((nodes[(j + 1) % len(nodes)] - v - 1) % n for j, v in enumerate(nodes))
+
+
+class TestFairLivelock:
+    """The known fault of the gathering rules at n = 3 (mod 4), pinned as it
+    stands: from a hole vector (L-1, L, L, L), the two robots beside the short
+    hole each try to move into their longest hole, and a success turns the
+    class into a rotation of itself.  A fair scheduler that activates only
+    such a robot keeps every run from terminating.  The repair of the
+    (L-1, L, L, L) rule must invert this test: under it, this scheduler finds
+    no robot to activate, or the run leaves the class."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("initial", ["1,0,1,0,0,1,0,0,1,0,0",
+                                         "1,0,0,1,0,0,0,1,0,0,0,1,0,0,0"], ids=["n11", "n15"])
+    def test_class_keeping_scheduler_never_terminates(self, initial, seed):
+        start = parse_config(initial)
+        trap = sorted_holes(start)
+        long = trap[-1]
+        assert trap == [long - 1, long, long, long]
+        sim = Simulation(start, rng=random.Random(seed))
+        steps = 2_000
+        last = [-1] * sim.k
+        longest_wait = 0
+        for t in range(steps):
+            c = sim.configuration()
+            keepers = []
+            for r, v in enumerate(sim.positions):
+                target = protocol.decide(c, v).target
+                if target is None:
+                    continue
+                after = list(c)
+                after[v] -= 1
+                after[target] += 1
+                if sorted_holes(tuple(after)) == trap:
+                    keepers.append(r)
+            assert keepers, f"no class-keeping move from {c}"
+            r = min(keepers, key=lambda r: last[r])
+            longest_wait = max(longest_wait, t - last[r])
+            last[r] = t
+            sim.step([r])
+            assert sorted_holes(sim.configuration()) == trap
+            assert not is_terminal(sim.configuration())
+        longest_wait = max(longest_wait, *(steps - t for t in last))
+        assert min(last) >= 0
+        assert longest_wait <= 36

@@ -72,18 +72,18 @@ class TestNoTowerOneStep:
     def test_protocol_scatters_are_settled_without_enumeration(self, monkeypatch):
         # The protocol's robots never share a landing spot in a scatter, so
         # the landing-set test settles every case and no successor is built.
-        def no_product(*rows):
-            raise AssertionError("a scatter was enumerated")
+        def no_successors(*args):
+            raise AssertionError("a scatter had its branches walked")
 
-        monkeypatch.setattr(verify, "product", no_product)
+        monkeypatch.setattr(verify, "successors", no_successors)
         report = check_no_tower_one_step(12)
         assert report.passed
         assert report.instances_checked == expected_one_step_instances(12)
 
 
 def reference_check_successors(claim, n, cases, decide):
-    """The one-step checkers' loop before they tested each distinct successor
-    once: every branch of ``engine.successors``, one at a time.  The rule
+    """The one-step checkers' loop with no landing-set shortcut: every branch
+    of ``engine.successors`` counted and tested, one at a time.  The rule
     each case carries is ignored and ``successor_rule`` recomputed, so the
     checkers' rules are checked too."""
     if n <= 8:
