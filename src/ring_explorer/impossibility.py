@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .engine import successors
-from .ring import (canonical_direction, canonical_form, configurations, occupied_nodes, placement,
-                   view_of)
+from .ring import canonical_form, configurations, occupied_nodes, placement, view_of
 
 N = 4
 K = 3
@@ -164,16 +163,18 @@ class _Tables:
         self.occ_mask = [sum(1 << v for v in occupied_nodes(c)) for c in self.configs]
 
         # What one robot on node v of config cid may do, with the element bit
-        # that allows it: idle, then the forward and backward moves under
-        # canonical_direction.  A symmetric view moves to v-1 or v+1 under its
-        # one "move" bit.  ``config_moves[cid]`` gathers the element bits that
+        # that allows it: idle, then the forward and backward moves, forward
+        # under the view's smaller reading (an anonymous robot's one
+        # tie-break).  A symmetric view moves to v-1 or v+1 under its one
+        # "move" bit.  ``config_moves[cid]`` gathers the element bits that
         # move a robot of config cid, and ``move_bits`` those of every config.
         self.options: dict[tuple[int, int], tuple[tuple[Optional[int], int], ...]] = {}
         self.config_moves = [0] * len(self.configs)
         for cid, c in enumerate(self.configs):
             for v in occupied_nodes(c):
-                base = 3 * class_by_view[tuple(sorted(view_of(c, v)))]
-                direction = canonical_direction(c, v)
+                forward, backward = view_of(c, v)
+                base = 3 * class_by_view[tuple(sorted((forward, backward)))]
+                direction = (forward < backward) - (forward > backward)
                 step = direction or -1
                 back = BACKWARD_BIT if direction else FORWARD_BIT
                 self.options[(cid, v)] = ((None, IDLE_BIT << base),
@@ -399,7 +400,7 @@ class _Game:
 
     def choice(self, sid: int, robot: int, target: int) -> list[tuple[int, int]]:
         """The moves of the first forcing action of ``robot`` in state ``sid``,
-        forward under canonical_direction first, whose outcomes all lie in
+        forward under the smaller reading first, whose outcomes all lie in
         ``target``; there must be one.  A second move is the mover's option."""
         tb = _tables()
         v = tb.idstates[sid][robot]

@@ -7,7 +7,7 @@ every externally meaningful comparison goes through ``canonical_form``.
 
 Input from outside the package is validated once, by ``as_config`` (any
 sequence of integers) or ``parse_config`` (the comma-separated text form).
-``_integers`` reads each integer list, here and in ``engine``.
+``_integers`` reads each integer list, here, in ``engine`` and in ``verify``.
 Every other function here takes a ``Configuration`` tuple as it is and does
 not re-check it.  ``canonical_form``, ``segments`` and ``find_arrow`` are
 cached on that tuple.
@@ -129,19 +129,6 @@ def view_of(c: Configuration, i: int) -> tuple[Configuration, Configuration]:
     forward = tuple(c[(i + j) % n] for j in range(n))
     backward = tuple(c[(i - j) % n] for j in range(n))
     return forward, backward
-
-
-def canonical_direction(c: Configuration, i: int) -> Optional[int]:
-    """Direction (+1/-1) whose reading from node i is lexicographically smaller.
-
-    None when the view is symmetric.  Because the rule only looks at the view,
-    it is invariant under rotation and flips sign under reflection, which makes
-    it a legitimate tie-breaker for anonymous robots.
-    """
-    forward, backward = view_of(c, i)
-    if forward == backward:
-        return None
-    return 1 if forward < backward else -1
 
 
 # ---------------------------------------------------------------------------

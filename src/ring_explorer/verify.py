@@ -34,6 +34,7 @@ from .engine import (
 from .protocol import Decision, phase
 from .ring import (
     Configuration,
+    _integers,
     canonical_form,
     configurations,
     find_arrow,
@@ -403,6 +404,7 @@ def campaign(
     Every run is monitored step by step (InvariantViolation on any breach) and
     every terminated sequential run is pushed through the MRP lower bounds.
     """
+    trials, max_steps = _integers((trials, max_steps), "trials and max_steps")
     if trials < 1:
         raise ValueError("trials must be positive")
     terminated = coverage = 0

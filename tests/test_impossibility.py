@@ -86,6 +86,20 @@ class TestViewClasses:
         idx = class_index(classes, (1, 1, 1, 0), 0)
         assert not classes[idx].symmetric
 
+    def test_options_forward_under_smaller_reading(self):
+        # A robot's forward move heads the way its view reads smaller: from
+        # nodes 0 and 2 of 1,1,1,0 that is toward the hole at node 3.  Node
+        # 1's view is symmetric, so its two moves carry the one "move" bit.
+        tb = imp._tables()
+        cid = tb.config_id[(1, 1, 1, 0)]
+        for v in (0, 2):
+            dests, bits = zip(*tb.options[(cid, v)])
+            assert dests == (None, 3, 1)
+            assert len(set(bits)) == 3
+        dests, bits = zip(*tb.options[(cid, 1)])
+        assert dests == (None, 0, 2)
+        assert bits[1] == bits[2] != bits[0]
+
 
 class TestProtocolEnumeration:
     def test_space_size(self, classes):

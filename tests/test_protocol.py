@@ -206,6 +206,32 @@ class TestGathering:
         assert decide(c, 7).kind == IDLE
 
 
+class TestLivelockClass:
+    """The known fault of the gathering rules at every n = 3 (mod 4) from 11,
+    pinned at the rule level as it stands: in the hole vector (L-1, L, L, L)
+    every robot tries to move, and a lone success of either robot beside the
+    short hole gives back a rotation of the same vector, so a fair scheduler
+    can keep a run in the class forever.  The repair of the (L-1, L, L, L)
+    rule (ROADMAP item 2) must invert this test."""
+
+    @pytest.mark.parametrize("n", range(11, 48, 4))
+    def test_short_hole_neighbours_keep_the_class(self, n):
+        L = (n - 3) // 4
+        h = (L - 1, L, L, L)
+        movers = protocol._gathering.__wrapped__(h)
+        assert sorted(movers) == [0, 1, 2, 3]
+        assert all(kind == TRY_MOVE for kind, _ in movers.values())
+        rotations = {h[i:] + h[:i] for i in range(4)}
+        for j, step in ((0, -1), (1, 1)):  # the two robots beside hole 0
+            assert movers[j][1] == step
+            into, away = (j, j - 1) if step == 1 else (j - 1, j)
+            assert h[into] == L > h[away]
+            after = list(h)
+            after[into] -= 1
+            after[away] += 1
+            assert tuple(after) in rotations
+
+
 class TestTowerFormation:
     def test_middles_try_toward_each_other(self):
         c = (1, 1, 1, 1, 0, 0, 0, 0, 0)

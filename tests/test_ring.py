@@ -11,7 +11,6 @@ from ring_explorer import ring
 from ring_explorer.protocol import phase
 from ring_explorer.ring import (
     Arrow,
-    canonical_direction,
     canonical_form,
     find_arrow,
     segments,
@@ -155,11 +154,6 @@ class TestView:
                     reflected = tuple(c[(2 * i - j) % n] for j in range(n))
                     forward, backward = view_of(c, i)
                     assert (forward == backward) == (reflected == c)
-
-    def test_canonical_direction(self):
-        assert canonical_direction((1, 1, 1, 0), 0) == -1  # toward the hole
-        assert canonical_direction((1, 1, 1, 0), 2) == 1
-        assert canonical_direction((1, 1, 1, 0), 1) is None  # symmetric
 
 
 class TestSegmentsHoles:

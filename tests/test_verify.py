@@ -545,6 +545,18 @@ class TestCampaign:
         with pytest.raises(ValueError, match="trials must be positive"):
             campaign(9, 0, SchedulerPolicy("random-subset"), seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, "2", None], ids=["float", "str", "none"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            campaign(9, trials, SchedulerPolicy("random-subset"), seed=0)
+
+    def test_bools_are_recorded_as_ints(self):
+        # The payload records what ran: one trial with a one-step budget.
+        payload = campaign(9, True, SchedulerPolicy("random-subset"), seed=0,
+                           max_steps=True).to_json()
+        assert type(payload["trials"]) is type(payload["max_steps"]) is int
+        assert payload["trials"] == payload["max_steps"] == 1
+
     def test_zero_budget_counts_nothing(self):
         stats = campaign(9, 1, SchedulerPolicy("random-subset"), seed=0, max_steps=0)
         assert stats.terminated_count == 0
